@@ -49,47 +49,30 @@ Result<std::unique_ptr<ShardedCsaFleet>> ShardedCsaFleet::Create(
   auto fleet = std::unique_ptr<ShardedCsaFleet>(new ShardedCsaFleet(options));
   for (int g = 0; g < options.shard_count; ++g) {
     for (int r = 0; r < options.replicas_per_shard; ++r) {
-      StorageNode n;
-      n.node_id = "shard" + std::to_string(g) + "-r" + std::to_string(r);
-      n.device = std::make_unique<tee::TrustZoneDevice>(
-          ToBytes("ironsafe-storage-lx2160a-" + n.node_id),
-          fleet->manufacturer_,
-          tee::StorageNodeConfig{n.node_id, "eu-west-1", 3});
-      n.device->Boot(
-          {{"BL2", ToBytes("bl2 v3")},
-           {"TrustedOS", ToBytes("op-tee 3.4")},
-           {"NormalWorld",
-            ToBytes("linux 5.4.3 + ironsafe storage engine v3")}});
-      n.ta = std::make_unique<securestore::SecureStorageTa>(n.device.get());
-      n.disk = std::make_unique<storage::BlockDevice>();
-      ASSIGN_OR_RETURN(n.store, securestore::SecureStore::Create(
-                                    n.disk.get(), n.ta.get()));
-      n.page_store = std::make_unique<sql::SecurePageStore>(n.store.get());
-      n.access =
-          std::make_unique<engine::ConfigurablePageStore>(n.page_store.get());
-      n.db = sql::Database::CreatePaged(n.access.get());
-      RETURN_IF_ERROR(fleet->AttestAndConnect(&n));
+      std::string node_id =
+          "shard" + std::to_string(g) + "-r" + std::to_string(r);
+      ASSIGN_OR_RETURN(std::unique_ptr<engine::StorageNode> n,
+                       engine::StorageNode::Create(
+                           "ironsafe-storage-lx2160a-" + node_id, node_id,
+                           fleet->manufacturer_));
+      RETURN_IF_ERROR(fleet->AttestAndConnect(n.get()));
       fleet->nodes_.push_back(std::move(n));
     }
   }
   return fleet;
 }
 
-Status ShardedCsaFleet::AttestAndConnect(StorageNode* n) {
+Status ShardedCsaFleet::AttestAndConnect(engine::StorageNode* n) {
   // Challenge-response attestation against the manufacturer root (the
   // monitor's admission step, paper Figure 4.b): only a node whose boot
   // chain verifies joins the fleet and receives a channel key.
   Bytes challenge = attest_drbg_.Generate(32);
   ASSIGN_OR_RETURN(tee::TzAttestationResponse response,
-                   n->device->RespondToChallenge(challenge));
+                   n->device()->RespondToChallenge(challenge));
   RETURN_IF_ERROR(tee::VerifyTzAttestation(manufacturer_.root_public_key(),
-                                           n->node_id, challenge, response));
+                                           n->node_id(), challenge, response));
   IRONSAFE_COUNTER_ADD("dist.attestations", 1);
-  ASSIGN_OR_RETURN(auto pair, net::Handshake::FromSessionKey(
-                                  channel_drbg_.Generate(32)));
-  n->host_end = std::move(pair.first);
-  n->node_end = std::move(pair.second);
-  return Status::OK();
+  return n->Rekey(&channel_drbg_);
 }
 
 Status ShardedCsaFleet::Load(
@@ -155,31 +138,22 @@ Status ShardedCsaFleet::Load(
 
     for (int g = 0; g < options_.shard_count; ++g) {
       for (int r = 0; r < options_.replicas_per_shard; ++r) {
-        StorageNode& n = node(g, r);
-        RETURN_IF_ERROR(n.db->CreateTable(name, table->schema()));
-        RETURN_IF_ERROR(n.db->BulkLoad(name, slices[g], nullptr));
+        sql::Database* db = node(g, r).db();
+        RETURN_IF_ERROR(db->CreateTable(name, table->schema()));
+        RETURN_IF_ERROR(db->BulkLoad(name, slices[g], nullptr));
       }
     }
     routes_[name] = route;
   }
 
   // Keep the paper's database:EPC pressure ratio against one logical
-  // copy of the data (replicas don't raise host EPC pressure), and give
-  // each node its secure-read profile for its own store.
-  if (options_.scale_epc_to_data) {
-    uint64_t data_bytes = 0;
-    for (int g = 0; g < options_.shard_count; ++g) {
-      data_bytes += node(g, 0).store->num_pages() * 4096;
-    }
-    options_.hardware.sgx.epc_bytes =
-        std::max<uint64_t>(16 * 4096, data_bytes * 96 / 3072);
+  // copy of the data (replicas don't raise host EPC pressure).
+  uint64_t data_bytes = 0;
+  for (int g = 0; g < options_.shard_count; ++g) {
+    data_bytes += node(g, 0).data_bytes();
   }
-  for (StorageNode& n : nodes_) {
-    uint64_t node_bytes = n.store->num_pages() * 4096;
-    uint64_t tree_bytes = n.store->num_pages() * 96;
-    n.access->set_secure_profile(n.store->merkle_depth(),
-                                 node_bytes + tree_bytes);
-  }
+  hardware_.sgx.epc_bytes = engine::ScaledEpcBytes(data_bytes);
+  for (auto& n : nodes_) n->FinishLoad();
   return Status::OK();
 }
 
@@ -200,18 +174,9 @@ bool ShardedCsaFleet::CoLocated(const std::string& a,
   return false;
 }
 
-sql::ExecOptions ShardedCsaFleet::StorageExecOptions() const {
-  sql::ExecOptions opts;
-  opts.site = sim::Site::kStorage;
-  opts.parallelism = options_.storage_cores;
-  opts.memory_cap_bytes = options_.storage_memory_bytes;
-  opts.engine = options_.engine;
-  return opts;
-}
-
 Result<FleetOutcome> ShardedCsaFleet::Run(const std::string& sql) {
   FleetOutcome outcome;
-  outcome.cost = sim::CostModel(options_.hardware);
+  outcome.cost = sim::CostModel(hardware_);
   obs::SpanGuard query_span("query", "dist", &outcome.cost);
   query_span.Tag("shards", static_cast<int64_t>(options_.shard_count));
 
@@ -226,7 +191,7 @@ Result<FleetOutcome> ShardedCsaFleet::Run(const std::string& sql) {
     return CoLocated(a, b);
   };
   ASSIGN_OR_RETURN(DistPlan plan,
-                   PlanQuery(*stmt, *node(0, 0).db, options_.partitions,
+                   PlanQuery(*stmt, *node(0, 0).db(), options_.partitions,
                              planner_options));
   outcome.partial_aggregation = plan.partial_aggregation;
   plan_span.Tag("fragments", static_cast<int64_t>(plan.fragments.size()));
@@ -234,16 +199,11 @@ Result<FleetOutcome> ShardedCsaFleet::Run(const std::string& sql) {
                 static_cast<int64_t>(plan.partial_aggregation ? 1 : 0));
   plan_span.Close();
 
-  // Cold per-query engine state on every node, as in the single-node
-  // testbed: counters, page cache, storage-site crypto accounting.
-  for (StorageNode& n : nodes_) {
-    n.access->ResetCounters();
-    n.access->ClearCache();
-    n.access->set_cache_bytes(options_.storage_memory_bytes);
-    n.access->set_remote(false);
-    n.access->set_enclave(nullptr);
-    n.store->set_site(sim::Site::kStorage);
-  }
+  // Cold per-query state on every node, as in the single-node testbed.
+  for (auto& n : nodes_) n->BeginQuery(engine::kStorageMemoryBytes);
+  const sql::ExecOptions storage_opts = engine::StorageExecOptions(
+      engine::kStorageCores, engine::kStorageMemoryBytes,
+      sql::ExecEngine::kVectorized, /*oblivious=*/false);
 
   const int groups = options_.shard_count;
   // The groups execute sequentially here but on disjoint simulated
@@ -251,8 +211,7 @@ Result<FleetOutcome> ShardedCsaFleet::Run(const std::string& sql) {
   // merge below advances the fleet clock by the slowest group only
   // (MergeParallelTimelines). This keeps traces and costs bit-identical
   // for every real worker count while still modelling the scale-out.
-  std::vector<sim::CostModel> children(groups,
-                                       sim::CostModel(options_.hardware));
+  std::vector<sim::CostModel> children(groups, sim::CostModel(hardware_));
   std::vector<int> selected(groups, 0);  // current replica per group
   std::vector<std::vector<sql::QueryResult>> shipped(plan.fragments.size());
   for (auto& s : shipped) s.resize(groups);
@@ -277,18 +236,18 @@ Result<FleetOutcome> ShardedCsaFleet::Run(const std::string& sql) {
                                      std::to_string(g) + " are down");
         }
       }
-      StorageNode& n = node(g, selected[g]);
+      engine::StorageNode& n = node(g, selected[g]);
 
       obs::SpanGuard frag_span("fragment", "dist", child);
       frag_span.Tag("source", place.fragment.source_table);
       frag_span.Tag("dest", place.fragment.dest_table);
-      frag_span.Tag("node", n.node_id);
+      frag_span.Tag("node", n.node_id());
       IRONSAFE_COUNTER_ADD("dist.fragments", 1);
       ASSIGN_OR_RETURN(std::unique_ptr<sql::SelectStmt> frag_stmt,
                        sql::ParseSelect(place.fragment.sql));
       auto frag_result =
-          sql::ExecuteSelect(n.db.get(), *frag_stmt, nullptr, child,
-                             StorageExecOptions(), &outcome.stats);
+          sql::ExecuteSelect(n.db(), *frag_stmt, nullptr, child,
+                             storage_opts, &outcome.stats);
       RETURN_IF_ERROR(frag_result.status());
 
       // Ship the slice's batch through the node's sealed channel. A
@@ -301,7 +260,7 @@ Result<FleetOutcome> ShardedCsaFleet::Run(const std::string& sql) {
       RetryPolicy ship_policy = obs::ObservedRetryPolicy("dist.ship", child);
       auto opened =
           RetryWithBackoff<Bytes>(ship_policy, [&]() -> Result<Bytes> {
-            ASSIGN_OR_RETURN(Bytes frame, n.node_end->Send(wire, child));
+            ASSIGN_OR_RETURN(Bytes frame, n.node_end()->Send(wire, child));
             if (auto hit = sim::FaultAt(sim::fault_site::kDistFragmentCorrupt);
                 hit && !frame.empty()) {
               frame[hit->param % frame.size()] ^= 0x01;
@@ -310,13 +269,10 @@ Result<FleetOutcome> ShardedCsaFleet::Run(const std::string& sql) {
             // host-side receive work is serial fleet-wide, so it charges
             // the fleet clock, not the group's parallel timeline.
             RETURN_IF_ERROR(host_enclave_->EnterExit(&outcome.cost));
-            auto result = n.host_end->Receive(frame, child);
+            auto result = n.host_end()->Receive(frame, child);
             if (!result.ok()) {
               IRONSAFE_COUNTER_ADD("dist.channel.rehandshakes", 1);
-              ASSIGN_OR_RETURN(auto pair, net::Handshake::FromSessionKey(
-                                              channel_drbg_.Generate(32)));
-              n.host_end = std::move(pair.first);
-              n.node_end = std::move(pair.second);
+              RETURN_IF_ERROR(n.Rekey(&channel_drbg_));
             }
             return result;
           });
@@ -332,7 +288,7 @@ Result<FleetOutcome> ShardedCsaFleet::Run(const std::string& sql) {
     }
     shard_span.Close();
     for (int r = 0; r < options_.replicas_per_shard; ++r) {
-      outcome.storage_pages_read += node(g, r).access->pages_read();
+      outcome.storage_pages_read += node(g, r).access()->pages_read();
     }
   }
 
@@ -416,12 +372,9 @@ Result<FleetOutcome> ShardedCsaFleet::Run(const std::string& sql) {
   // Host phase: the remainder (or the partial re-aggregation) over the
   // merged intermediates, inside the host enclave.
   obs::SpanGuard host_span("host-phase", "dist", &outcome.cost);
-  sql::ExecOptions host_opts;  // host site
-  host_opts.parallelism = options_.host_parallelism;
-  host_opts.engine = options_.engine;
   auto host_result =
       sql::ExecuteSelect(host_db.get(), *plan.host_query, nullptr,
-                         &outcome.cost, host_opts, &outcome.stats);
+                         &outcome.cost, sql::ExecOptions{}, &outcome.stats);
   RETURN_IF_ERROR(host_result.status());
   host_enclave_->ClearMemory();
   host_span.Close();

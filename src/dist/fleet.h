@@ -9,31 +9,19 @@
 
 #include "crypto/chacha20.h"
 #include "dist/planner.h"
-#include "engine/csa_system.h"
-#include "net/secure_channel.h"
-#include "securestore/secure_store.h"
+#include "engine/storage_node.h"
 #include "sim/cost_model.h"
 #include "sql/database.h"
 #include "sql/partition.h"
-#include "storage/block_device.h"
-#include "tee/sgx.h"
-#include "tee/trustzone.h"
 
 namespace ironsafe::dist {
 
-/// Fleet shape and testbed knobs. Per-node resources mirror CsaOptions;
-/// the fleet-specific knobs are the shard/replica counts and the table
-/// partition scheme (src/tpch's TpchPartitionScheme for the benchmarks).
+/// Fleet shape: shard/replica counts and the table partition scheme
+/// (src/tpch's TpchPartitionScheme for the benchmarks). Every node has
+/// the single-node defaults engine::kStorageCores/kStorageMemoryBytes.
 struct FleetOptions {
   int shard_count = 4;
   int replicas_per_shard = 2;
-  uint64_t seed = 7;
-  sim::HardwareProfile hardware = sim::HardwareProfile::Paper();
-  int storage_cores = 16;              ///< per storage node
-  uint64_t storage_memory_bytes = 32ull * 1024 * 1024 * 1024;  ///< per node
-  bool scale_epc_to_data = true;
-  int host_parallelism = 1;
-  sql::ExecEngine engine = sql::ExecEngine::kVectorized;
   /// Opt-in distributed partial aggregation (PlannerOptions).
   bool partial_aggregation = false;
   /// Tables absent from the scheme are replicated to every node.
@@ -62,7 +50,7 @@ struct FleetOutcome {
 /// generalized to N shards: per-shard fragments near the data, sealed
 /// result shipping, host-side merge and remainder.
 ///
-/// Determinism contract: with a fixed seed and scheme, result rows are
+/// Determinism contract: with fixed data and scheme, result rows are
 /// bit-identical across shard counts AND worker counts (the key-ordered
 /// shard merge reconstructs the single-node row streams exactly); cost
 /// totals, stats and default traces are bit-identical across worker
@@ -85,7 +73,6 @@ class ShardedCsaFleet {
   /// channel and re-sends.
   Result<FleetOutcome> Run(const std::string& sql);
 
-  const FleetOptions& options() const { return options_; }
   int shard_count() const { return options_.shard_count; }
   int replicas_per_shard() const { return options_.replicas_per_shard; }
 
@@ -94,33 +81,15 @@ class ShardedCsaFleet {
   /// predicate.
   bool CoLocated(const std::string& a, const std::string& b) const;
 
-  /// Per-query sweep knobs (cost model only, like CsaSystem's).
-  void set_storage_cores(int cores) { options_.storage_cores = cores; }
   void set_partial_aggregation(bool on) {
     options_.partial_aggregation = on;
   }
-  void set_host_parallelism(int n) { options_.host_parallelism = n; }
 
   sql::Database* node_db(int group, int replica) {
-    return node(group, replica).db.get();
+    return node(group, replica).db();
   }
 
  private:
-  /// One TrustZone storage node: its own device identity, disk, secure
-  /// store, storage engine database and host channel endpoint pair.
-  struct StorageNode {
-    std::string node_id;
-    std::unique_ptr<tee::TrustZoneDevice> device;
-    std::unique_ptr<securestore::SecureStorageTa> ta;
-    std::unique_ptr<storage::BlockDevice> disk;
-    std::unique_ptr<securestore::SecureStore> store;
-    std::unique_ptr<sql::SecurePageStore> page_store;
-    std::unique_ptr<engine::ConfigurablePageStore> access;
-    std::unique_ptr<sql::Database> db;
-    std::unique_ptr<net::SecureChannel> host_end;
-    std::unique_ptr<net::SecureChannel> node_end;
-  };
-
   /// How one loaded table routes to shard groups (derived at Load).
   struct TableRoute {
     sql::PartitionKind kind = sql::PartitionKind::kReplicated;
@@ -131,23 +100,20 @@ class ShardedCsaFleet {
 
   explicit ShardedCsaFleet(const FleetOptions& options);
 
-  StorageNode& node(int group, int replica) {
-    return nodes_[group * options_.replicas_per_shard + replica];
-  }
-  const StorageNode& node(int group, int replica) const {
-    return nodes_[group * options_.replicas_per_shard + replica];
+  engine::StorageNode& node(int group, int replica) {
+    return *nodes_[group * options_.replicas_per_shard + replica];
   }
 
   /// Challenge-response attestation of one node against the manufacturer
   /// root, plus its channel-pair establishment.
-  Status AttestAndConnect(StorageNode* n);
+  Status AttestAndConnect(engine::StorageNode* n);
 
   /// Simulated heartbeat-timeout latency before a failover commits.
   static constexpr sim::SimNanos kFailoverDetectionNs = 5'000'000;
 
-  sql::ExecOptions StorageExecOptions() const;
-
   FleetOptions options_;
+  /// The host's hardware profile, its EPC scaled to the loaded data.
+  sim::HardwareProfile hardware_ = sim::HardwareProfile::Paper();
 
   tee::SgxMachine host_machine_;
   std::unique_ptr<tee::SgxEnclave> host_enclave_;
@@ -155,7 +121,8 @@ class ShardedCsaFleet {
   crypto::Drbg channel_drbg_;
   crypto::Drbg attest_drbg_;
 
-  std::vector<StorageNode> nodes_;  ///< group-major: g*R + r
+  /// Group-major: g*R + r.
+  std::vector<std::unique_ptr<engine::StorageNode>> nodes_;
   std::map<std::string, TableRoute> routes_;
 };
 

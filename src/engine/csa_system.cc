@@ -1,8 +1,5 @@
 #include "engine/csa_system.h"
 
-#include <algorithm>
-
-#include "common/thread_pool.h"
 #include "net/wire.h"
 #include "obs/retry.h"
 #include "obs/trace.h"
@@ -27,242 +24,35 @@ std::string_view SystemConfigName(SystemConfig config) {
   return "?";
 }
 
-void ConfigurablePageStore::ClearCache() {
-  lru_.clear();
-  cached_.clear();
-  cache_hits_ = 0;
-  cache_evictions_ = 0;
-}
-
-Result<Bytes> ConfigurablePageStore::ChargedRead(uint64_t id,
-                                                 sim::CostModel* cost) {
-  ASSIGN_OR_RETURN(Bytes page, inner_->ReadPage(id, cost));
-  if (remote_ && cost != nullptr) cost->ChargeNetworkBytes(page.size());
-  if (enclave_ != nullptr) {
-    // The enclave exits to fetch the page (SCONE-style ocall, §6.2). An
-    // aborted ecall is re-entered with backoff (the SDK's standard
-    // recovery); the retry machinery stays off this hot path until a
-    // first plain attempt actually fails.
-    Status ecall = enclave_->EnterExit(cost);
-    if (!ecall.ok()) {
-      RetryPolicy policy = obs::ObservedRetryPolicy("tee.ecall", cost);
-      policy.retryable = [](const Status& s) { return s.IsUnavailable(); };
-      RETURN_IF_ERROR(ResumeRetryWithBackoff(
-          policy, std::move(ecall),
-          [&]() -> Status { return enclave_->EnterExit(cost); }));
-    }
-    // Verifying a page inside the enclave touches the data page plus one
-    // Merkle node per tree level. With a working set beyond the EPC, a
-    // fraction ≈ 1 - EPC/working_set of those touches fault — the
-    // paging behaviour §6.3 attributes to host-only secure execution
-    // ("the space is taken up by the Merkle tree ... causes EPC paging").
-    if (cost != nullptr && working_set_bytes_ > 0) {
-      uint64_t epc = cost->profile().sgx.epc_bytes;
-      double fault_fraction =
-          1.0 - std::min(1.0, static_cast<double>(epc) /
-                                  static_cast<double>(working_set_bytes_));
-      uint64_t touches = 1 + merkle_depth_;
-      auto faults = static_cast<uint64_t>(
-          fault_fraction * static_cast<double>(touches) + 0.5);
-      if (faults > 0) IRONSAFE_COUNTER_ADD("tee.sgx.epc_faults", faults);
-      for (uint64_t i = 0; i < faults; ++i) cost->ChargeEpcFault();
-    } else {
-      enclave_->TouchMemory(id, page.size(), cost);
-    }
-  }
-  return page;
-}
-
-void ConfigurablePageStore::EvictExcess() {
-  while (cache_capacity_ > 0 && cached_.size() > cache_capacity_ &&
-         !lru_.empty()) {
-    ++cache_evictions_;
-    cached_.erase(lru_.back());
-    lru_.pop_back();
-  }
-}
-
-Result<Bytes> ConfigurablePageStore::ReadPage(uint64_t id,
-                                              sim::CostModel* cost) {
-  if (parallel_slots_ > 0) return ReadPageParallel(id, cost);
-
-  // Page-cache hit: the decrypted page already sits in engine memory, so
-  // no device, network, enclave, or crypto work is charged.
-  if (cache_capacity_ > 0) {
-    auto it = cached_.find(id);
-    if (it != cached_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      ++cache_hits_;
-      return it->second.data;
-    }
-  }
-
-  ASSIGN_OR_RETURN(Bytes page, ChargedRead(id, cost));
-  ++pages_read_;
-  if (cache_capacity_ > 0) {
-    auto [it, inserted] = cached_.try_emplace(id);
-    if (inserted) {
-      lru_.push_front(id);
-      it->second.lru_it = lru_.begin();
-      it->second.data = page;
-    }
-    EvictExcess();
-  }
-  return page;
-}
-
-Result<Bytes> ConfigurablePageStore::ReadPageParallel(uint64_t id,
-                                                      sim::CostModel* cost) {
-  // Accesses are filed under the calling task's slot; the bracket owner
-  // (slot -1, e.g. a scan running on the coordinating thread outside
-  // RunTasks) files under slot 0.
-  int slot = common::ThreadPool::current_slot();
-  if (slot < 0 || slot >= static_cast<int>(access_log_.size())) slot = 0;
-
-  if (cache_capacity_ > 0) {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = cached_.find(id);
-    if (it != cached_.end()) {
-      Bytes page = it->second.data;
-      lock.unlock();
-      access_log_[slot].push_back(PageAccess{id, /*hit=*/true});
-      return page;
-    }
-  }
-
-  ASSIGN_OR_RETURN(Bytes page, ChargedRead(id, cost));
-  if (cache_capacity_ > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = cached_.try_emplace(id);
-    if (inserted) {
-      lru_.push_front(id);
-      it->second.lru_it = lru_.begin();
-      it->second.data = page;
-    }
-  }
-  access_log_[slot].push_back(PageAccess{id, /*hit=*/false});
-  return page;
-}
-
-void ConfigurablePageStore::BeginParallelRead(int slots) {
-  parallel_slots_ = std::max(1, slots);
-  access_log_.assign(parallel_slots_, {});
-}
-
-void ConfigurablePageStore::EndParallelRead() {
-  // Replay the recorded accesses in task order — the order the
-  // equivalent serial scan produces — so LRU recency, the hit/read
-  // counters and evictions are independent of the real thread schedule.
-  // Eviction is deferred to the end of the bracket: during the scan
-  // every fetched page stays resident (morsel ranges are disjoint, each
-  // page is touched once), so the frozen cache is also a correct
-  // working set.
-  for (const auto& log : access_log_) {
-    for (const PageAccess& a : log) {
-      if (a.hit) {
-        ++cache_hits_;
-      } else {
-        ++pages_read_;
-      }
-      auto it = cached_.find(a.id);
-      if (it != cached_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      }
-    }
-  }
-  EvictExcess();
-  access_log_.clear();
-  parallel_slots_ = 0;
-}
-
-std::shared_ptr<const sql::ColumnBatch> ConfigurablePageStore::CachedBatch(
-    uint64_t id) {
-  // No LRU touch and no counter: the caller already went through
-  // ReadPage for this id, which did both. Locked unconditionally — the
-  // vectorized scan calls this inside parallel brackets.
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cached_.find(id);
-  return it != cached_.end() ? it->second.batch : nullptr;
-}
-
-void ConfigurablePageStore::CacheBatch(
-    uint64_t id, std::shared_ptr<const sql::ColumnBatch> batch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cached_.find(id);
-  if (it != cached_.end()) it->second.batch = std::move(batch);
-}
-
-Status ConfigurablePageStore::WritePage(uint64_t id, const Bytes& page,
-                                        sim::CostModel* cost) {
-  auto it = cached_.find(id);
-  if (it != cached_.end()) {
-    lru_.erase(it->second.lru_it);
-    cached_.erase(it);
-  }
-  if (remote_ && cost != nullptr) cost->ChargeNetworkBytes(page.size());
-  return inner_->WritePage(id, page, cost);
-}
-
 CsaSystem::CsaSystem(const CsaOptions& options)
     : options_(options),
       host_machine_(ToBytes("ironsafe-host-platform")),
       manufacturer_(ToBytes("ironsafe-device-manufacturer")),
-      storage_device_(ToBytes("ironsafe-storage-lx2160a"), manufacturer_,
-                      tee::StorageNodeConfig{"storage-1", "eu-west-1", 3}),
-      storage_ta_(&storage_device_),
       plain_store_(&plain_disk_),
+      plain_access_(&plain_store_),
+      plain_db_(sql::Database::CreatePaged(&plain_access_)),
       channel_drbg_(ToBytes("csa-channel-drbg")) {
   host_enclave_ =
       host_machine_.LoadEnclave("host-engine", ToBytes("ironsafe host engine v3"));
-  storage_device_.Boot(
-      {{"BL2", ToBytes("bl2 v3")},
-       {"TrustedOS", ToBytes("op-tee 3.4")},
-       {"NormalWorld", ToBytes("linux 5.4.3 + ironsafe storage engine v3")}});
 }
 
 Result<std::unique_ptr<CsaSystem>> CsaSystem::Create(
     const CsaOptions& options) {
   auto system = std::unique_ptr<CsaSystem>(new CsaSystem(options));
-  ASSIGN_OR_RETURN(system->secure_store_,
-                   securestore::SecureStore::Create(&system->secure_disk_,
-                                                    &system->storage_ta_));
-  system->secure_page_store_ =
-      std::make_unique<sql::SecurePageStore>(system->secure_store_.get());
-  system->plain_access_ =
-      std::make_unique<ConfigurablePageStore>(&system->plain_store_);
-  system->secure_access_ =
-      std::make_unique<ConfigurablePageStore>(system->secure_page_store_.get());
-  system->plain_db_ = sql::Database::CreatePaged(system->plain_access_.get());
-  system->secure_db_ = sql::Database::CreatePaged(system->secure_access_.get());
+  ASSIGN_OR_RETURN(system->storage_,
+                   StorageNode::Create("ironsafe-storage-lx2160a", "storage-1",
+                                       system->manufacturer_));
   return system;
 }
 
 Status CsaSystem::Load(const std::function<Status(sql::Database*)>& loader) {
   RETURN_IF_ERROR(loader(plain_db_.get()));
-  RETURN_IF_ERROR(loader(secure_db_.get()));
-
-  // Preserve the paper's database:EPC pressure ratio (§6.1: ~3 GB of
-  // TPC-H against a 96 MiB EPC, i.e. ~32:1) at this scale factor.
+  RETURN_IF_ERROR(loader(storage_->db()));
   if (options_.scale_epc_to_data) {
-    uint64_t data_bytes = secure_store_->num_pages() * 4096;
-    options_.hardware.sgx.epc_bytes =
-        std::max<uint64_t>(16 * 4096, data_bytes * 96 / 3072);
+    options_.hardware.sgx.epc_bytes = ScaledEpcBytes(storage_->data_bytes());
   }
-  uint64_t data_bytes = secure_store_->num_pages() * 4096;
-  uint64_t tree_bytes = secure_store_->num_pages() * 96;  // leaf + inner MACs
-  secure_access_->set_secure_profile(secure_store_->merkle_depth(),
-                                     data_bytes + tree_bytes);
+  storage_->FinishLoad();
   return Status::OK();
-}
-
-sql::ExecOptions CsaSystem::StorageExecOptions() const {
-  sql::ExecOptions opts;
-  opts.site = sim::Site::kStorage;
-  opts.parallelism = options_.storage_cores;
-  opts.memory_cap_bytes = options_.storage_memory_bytes;
-  opts.engine = options_.engine;
-  opts.oblivious = options_.oblivious;
-  return opts;
 }
 
 Result<QueryOutcome> CsaSystem::Run(SystemConfig config,
@@ -284,18 +74,16 @@ Result<QueryOutcome> CsaSystem::Run(SystemConfig config,
 
 Status CsaSystem::ExecuteHostOnly(const std::string& sql, bool secure,
                                   QueryOutcome* outcome) {
-  sql::Database* db = secure ? secure_db_.get() : plain_db_.get();
+  sql::Database* db = secure ? storage_->db() : plain_db_.get();
   ConfigurablePageStore* access =
-      secure ? secure_access_.get() : plain_access_.get();
+      secure ? storage_->access() : &plain_access_;
 
-  access->ResetCounters();
-  access->ClearCache();
-  access->set_cache_bytes(64ull << 30);  // host RAM holds the page cache
+  access->ResetForQuery(64ull << 30);  // host RAM holds the page cache
   access->set_remote(true);  // pages cross the network (NFS, §6.1)
   if (secure) {
     // Secure-store verification happens on the host CPU; the host engine
     // runs inside the enclave.
-    secure_store_->set_site(sim::Site::kHost);
+    storage_->store()->set_site(sim::Site::kHost);
     access->set_enclave(host_enclave_.get());
     host_enclave_->ClearMemory();
   }
@@ -312,7 +100,7 @@ Status CsaSystem::ExecuteHostOnly(const std::string& sql, bool secure,
 
   access->set_remote(false);
   access->set_enclave(nullptr);
-  if (secure) secure_store_->set_site(sim::Site::kStorage);
+  if (secure) storage_->store()->set_site(sim::Site::kStorage);
   RETURN_IF_ERROR(result.status());
 
   outcome->result = std::move(*result);
@@ -337,24 +125,20 @@ Result<QueryOutcome> CsaSystem::RunStorageOnly(const std::string& sql) {
   outcome.cost = sim::CostModel(options_.hardware);
   obs::SpanGuard query_span("query", "engine", &outcome.cost);
   query_span.Tag("config", SystemConfigName(SystemConfig::kSos));
-  secure_store_->set_site(sim::Site::kStorage);
-  secure_access_->ResetCounters();
-  secure_access_->ClearCache();
-  secure_access_->set_cache_bytes(options_.storage_memory_bytes);
-  secure_access_->set_remote(false);
-  secure_access_->set_enclave(nullptr);
+  storage_->BeginQuery(options_.storage_memory_bytes);
+  ConfigurablePageStore* access = storage_->access();
 
   obs::SpanGuard exec_span("storage-execute", "engine", &outcome.cost);
-  auto result =
-      secure_db_->Execute(sql, &outcome.cost, StorageExecOptions());
-  exec_span.Tag("pages_read",
-                static_cast<int64_t>(secure_access_->pages_read()));
-  exec_span.Tag("cache_hits",
-                static_cast<int64_t>(secure_access_->cache_hits()));
+  auto result = storage_->db()->Execute(
+      sql, &outcome.cost,
+      StorageExecOptions(options_.storage_cores, options_.storage_memory_bytes,
+                         options_.engine, options_.oblivious));
+  exec_span.Tag("pages_read", static_cast<int64_t>(access->pages_read()));
+  exec_span.Tag("cache_hits", static_cast<int64_t>(access->cache_hits()));
   exec_span.Close();
   RETURN_IF_ERROR(result.status());
   outcome.result = std::move(*result);
-  outcome.storage_pages_read = secure_access_->pages_read();
+  outcome.storage_pages_read = access->pages_read();
   outcome.storage_phase_ns = outcome.cost.elapsed_ns();
   return outcome;
 }
@@ -362,9 +146,9 @@ Result<QueryOutcome> CsaSystem::RunStorageOnly(const std::string& sql) {
 Result<QueryOutcome> CsaSystem::RunSplit(const std::string& sql, bool secure) {
   QueryOutcome outcome;
   outcome.cost = sim::CostModel(options_.hardware);
-  sql::Database* storage_db = secure ? secure_db_.get() : plain_db_.get();
+  sql::Database* storage_db = secure ? storage_->db() : plain_db_.get();
   ConfigurablePageStore* access =
-      secure ? secure_access_.get() : plain_access_.get();
+      secure ? storage_->access() : &plain_access_;
 
   obs::SpanGuard query_span("query", "engine", &outcome.cost);
   query_span.Tag("config", SystemConfigName(secure ? SystemConfig::kScs
@@ -382,25 +166,19 @@ Result<QueryOutcome> CsaSystem::RunSplit(const std::string& sql, bool secure) {
                 static_cast<int64_t>(plan.whole_query_offloaded ? 1 : 0));
   part_span.Close();
 
-  access->ResetCounters();
-  access->ClearCache();
-  access->set_cache_bytes(options_.storage_memory_bytes);
-  access->set_remote(false);
-  access->set_enclave(nullptr);
-  if (secure) secure_store_->set_site(sim::Site::kStorage);
-
-  // Secure configurations ship fragments through an authenticated
-  // encrypted channel whose key the monitor distributed (§4.2/§5).
-  std::unique_ptr<net::SecureChannel> storage_end;
-  std::unique_ptr<net::SecureChannel> host_end;
   if (secure) {
-    Bytes session_key = channel_drbg_.Generate(32);
-    ASSIGN_OR_RETURN(auto pair, net::Handshake::FromSessionKey(session_key));
-    host_end = std::move(pair.first);
-    storage_end = std::move(pair.second);
+    storage_->BeginQuery(options_.storage_memory_bytes);
+    // Secure configurations ship fragments through an authenticated
+    // encrypted channel whose key the monitor distributed (§4.2/§5).
+    RETURN_IF_ERROR(storage_->Rekey(&channel_drbg_));
+  } else {
+    plain_access_.ResetForQuery(options_.storage_memory_bytes);
   }
 
   // Phase 1: near-data fragments on the storage engine.
+  const sql::ExecOptions storage_opts =
+      StorageExecOptions(options_.storage_cores, options_.storage_memory_bytes,
+                         options_.engine, options_.oblivious);
   obs::SpanGuard storage_span("storage-phase", "engine", &outcome.cost);
   auto host_db = sql::Database::CreateInMemory();
   Status storage_status = Status::OK();
@@ -420,7 +198,7 @@ Result<QueryOutcome> CsaSystem::RunSplit(const std::string& sql, bool secure) {
                      sql::ParseSelect(frag.sql));
     auto frag_result =
         sql::ExecuteSelect(storage_db, *frag_stmt, nullptr, &outcome.cost,
-                           StorageExecOptions(), &outcome.stats);
+                           storage_opts, &outcome.stats);
     RETURN_IF_ERROR(frag_result.status());
 
     // Ship the record batch to the host.
@@ -439,17 +217,13 @@ Result<QueryOutcome> CsaSystem::RunSplit(const std::string& sql, bool secure) {
       auto opened = RetryWithBackoff<Bytes>(
           ship_policy, [&]() -> Result<Bytes> {
             ASSIGN_OR_RETURN(Bytes frame,
-                             storage_end->Send(wire, &outcome.cost));
+                             storage_->node_end()->Send(wire, &outcome.cost));
             // Receiving on the host enters the enclave once per batch.
             RETURN_IF_ERROR(host_enclave_->EnterExit(&outcome.cost));
-            auto result = host_end->Receive(frame, &outcome.cost);
+            auto result = storage_->host_end()->Receive(frame, &outcome.cost);
             if (!result.ok()) {
               IRONSAFE_COUNTER_ADD("net.channel.rehandshakes", 1);
-              Bytes session_key = channel_drbg_.Generate(32);
-              ASSIGN_OR_RETURN(auto pair,
-                               net::Handshake::FromSessionKey(session_key));
-              host_end = std::move(pair.first);
-              storage_end = std::move(pair.second);
+              RETURN_IF_ERROR(storage_->Rekey(&channel_drbg_));
             }
             return result;
           });

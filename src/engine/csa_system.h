@@ -1,21 +1,12 @@
 #ifndef IRONSAFE_ENGINE_CSA_SYSTEM_H_
 #define IRONSAFE_ENGINE_CSA_SYSTEM_H_
 
-#include <list>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "engine/partitioner.h"
-#include "net/secure_channel.h"
-#include "securestore/secure_store.h"
-#include "sim/cost_model.h"
-#include "sql/database.h"
-#include "storage/block_device.h"
-#include "tee/sgx.h"
-#include "tee/trustzone.h"
+#include "engine/storage_node.h"
 
 namespace ironsafe::engine {
 
@@ -33,10 +24,9 @@ std::string_view SystemConfigName(SystemConfig config);
 /// Testbed knobs, mirroring §6.1 and the constrained-resource sweeps.
 struct CsaOptions {
   double scale_factor = 0.002;
-  uint64_t seed = 7;
   sim::HardwareProfile hardware = sim::HardwareProfile::Paper();
-  int storage_cores = 16;                                  ///< Figure 10
-  uint64_t storage_memory_bytes = 32ull * 1024 * 1024 * 1024;  ///< Figure 11
+  int storage_cores = kStorageCores;                    ///< Figure 10
+  uint64_t storage_memory_bytes = kStorageMemoryBytes;  ///< Figure 11
   /// Keeps the paper's database:EPC ratio (~3 GB : 96 MiB) at the bench
   /// scale factor, so host-only secure execution experiences the same
   /// EPC pressure the paper measured. Disable for sweeps that pin the
@@ -73,107 +63,6 @@ struct QueryOutcome {
   sql::ExecStats stats;
 };
 
-/// Page-store decorator whose access mode is switched per configuration:
-/// optionally ships each page over the network (NFS-style host access)
-/// and optionally routes each access through the host enclave (charging
-/// transitions and EPC residency).
-class ConfigurablePageStore : public sql::PageStore {
- public:
-  explicit ConfigurablePageStore(sql::PageStore* inner) : inner_(inner) {}
-
-  void set_remote(bool remote) { remote_ = remote; }
-  void set_enclave(tee::SgxEnclave* enclave) { enclave_ = enclave; }
-
-  /// Page cache: the engine holds up to `bytes` of decrypted pages in
-  /// its (enclave or storage-application) memory — re-reads of cached
-  /// pages skip disk, network, and crypto. This is what the storage
-  /// memory budget of Figure 11 buys. Cleared per query (cold cache).
-  /// The cache stores the decrypted page bytes, so hits never touch the
-  /// inner store.
-  void set_cache_bytes(uint64_t bytes) { cache_capacity_ = bytes / 4096; }
-  void ClearCache();
-  uint64_t cache_hits() const { return cache_hits_; }
-  uint64_t cache_evictions() const { return cache_evictions_; }
-
-  /// When reads run inside the enclave, each page verification walks the
-  /// Merkle path: one node per level, plus the data page itself. With an
-  /// enclave working set (data stream + tree + engine heap) larger than
-  /// the EPC, a fraction ≈ 1 - EPC/working_set of those accesses fault
-  /// (paper §6.3: "the space is taken up by the Merkle tree ... causes
-  /// EPC paging"). `working_set_bytes` is data + tree.
-  void set_secure_profile(uint64_t merkle_depth, uint64_t working_set_bytes) {
-    merkle_depth_ = merkle_depth;
-    working_set_bytes_ = working_set_bytes;
-  }
-
-  Result<Bytes> ReadPage(uint64_t id, sim::CostModel* cost) override;
-  Status WritePage(uint64_t id, const Bytes& page,
-                   sim::CostModel* cost) override;
-  uint64_t Allocate() override { return inner_->Allocate(); }
-  uint64_t num_pages() const override { return inner_->num_pages(); }
-  void BeginBatch() override { inner_->BeginBatch(); }
-  Status EndBatch() override { return inner_->EndBatch(); }
-
-  /// Morsel-scan bracket (see sql::PageStore). Between the two calls
-  /// ReadPage may run concurrently from disjoint-range tasks; cache
-  /// lookups go against a mutex-guarded frozen-but-growing cache and the
-  /// per-task accesses are logged, then replayed in task order at
-  /// EndParallelRead so LRU recency, hit/read counters and evictions are
-  /// bit-identical for every worker count (including 1: the executor
-  /// brackets every base-table scan).
-  void BeginParallelRead(int slots) override;
-  void EndParallelRead() override;
-
-  /// Decoded-batch cache (see sql::PageStore): columnar decodes ride on
-  /// the page-cache entries, so capacity and eviction are shared with
-  /// the encoded bytes and ClearCache drops both.
-  std::shared_ptr<const sql::ColumnBatch> CachedBatch(uint64_t id) override;
-  void CacheBatch(uint64_t id,
-                  std::shared_ptr<const sql::ColumnBatch> batch) override;
-
-  uint64_t pages_read() const { return pages_read_; }
-  void ResetCounters() { pages_read_ = 0; }
-
- private:
-  struct CacheEntry {
-    std::list<uint64_t>::iterator lru_it;
-    Bytes data;
-    /// Columnar decode of `data`, filled lazily by the vectorized engine.
-    std::shared_ptr<const sql::ColumnBatch> batch;
-  };
-  struct PageAccess {
-    uint64_t id;
-    bool hit;
-  };
-
-  /// One uncached page fetch: inner store plus the configured network /
-  /// enclave access charges. Const-safe under concurrency (workers pass
-  /// private cost slices; the secure read path mutates nothing).
-  Result<Bytes> ChargedRead(uint64_t id, sim::CostModel* cost);
-  Result<Bytes> ReadPageParallel(uint64_t id, sim::CostModel* cost);
-  void EvictExcess();
-
-  sql::PageStore* inner_;
-  bool remote_ = false;
-  tee::SgxEnclave* enclave_ = nullptr;
-  uint64_t merkle_depth_ = 0;
-  uint64_t working_set_bytes_ = 0;
-  uint64_t pages_read_ = 0;
-
-  uint64_t cache_capacity_ = 0;  // pages; 0 disables caching
-  uint64_t cache_hits_ = 0;
-  uint64_t cache_evictions_ = 0;
-  std::list<uint64_t> lru_;  // front = most recently used
-  std::unordered_map<uint64_t, CacheEntry> cached_;
-
-  // Parallel-read bracket state. `mu_` guards lru_/cached_ insertions
-  // while a bracket is open; access_log_[slot] is written only by the
-  // task holding that slot.
-  std::mutex mu_;
-  int parallel_slots_ = 0;
-  std::vector<std::vector<PageAccess>> access_log_;
-};
-
 /// The simulated heterogeneous testbed: an SGX host plus a TrustZone
 /// storage server with direct-attached NVMe, loaded with the same data
 /// twice (plaintext and secure store) so all five configurations of
@@ -190,8 +79,6 @@ class CsaSystem {
   /// rows — only the placement/security work differs.
   Result<QueryOutcome> Run(SystemConfig config, const std::string& sql);
 
-  const CsaOptions& options() const { return options_; }
-
   /// Runtime knobs for the constrained-resource sweeps (Figures 10/11):
   /// affect only the cost model, not the stored data.
   void set_storage_cores(int cores) { options_.storage_cores = cores; }
@@ -205,10 +92,10 @@ class CsaSystem {
   void set_engine(sql::ExecEngine engine) { options_.engine = engine; }
   void set_oblivious(bool on) { options_.oblivious = on; }
   sql::Database* plain_db() { return plain_db_.get(); }
-  sql::Database* secure_db() { return secure_db_.get(); }
+  sql::Database* secure_db() { return storage_->db(); }
   tee::SgxEnclave* host_enclave() { return host_enclave_.get(); }
-  tee::TrustZoneDevice* storage_device() { return &storage_device_; }
-  securestore::SecureStore* secure_store() { return secure_store_.get(); }
+  tee::TrustZoneDevice* storage_device() { return storage_->device(); }
+  securestore::SecureStore* secure_store() { return storage_->store(); }
 
   /// The host engine's enclave image measurement (for attestation).
   tee::SgxMachine* host_machine() { return &host_machine_; }
@@ -230,27 +117,20 @@ class CsaSystem {
   Status ExecuteHostOnly(const std::string& sql, bool secure,
                          QueryOutcome* outcome);
 
-  sql::ExecOptions StorageExecOptions() const;
-
   CsaOptions options_;
 
   // Host side.
   tee::SgxMachine host_machine_;
   std::unique_ptr<tee::SgxEnclave> host_enclave_;
 
-  // Storage side.
+  // Storage side: the secure node, plus a plaintext copy of the data on
+  // the same server for the non-secure configurations.
   tee::DeviceManufacturer manufacturer_;
-  tee::TrustZoneDevice storage_device_;
-  securestore::SecureStorageTa storage_ta_;
+  std::unique_ptr<StorageNode> storage_;
   storage::BlockDevice plain_disk_;
-  storage::BlockDevice secure_disk_;
   sql::PlainPageStore plain_store_;
-  std::unique_ptr<securestore::SecureStore> secure_store_;
-  std::unique_ptr<sql::SecurePageStore> secure_page_store_;
-  std::unique_ptr<ConfigurablePageStore> plain_access_;
-  std::unique_ptr<ConfigurablePageStore> secure_access_;
+  ConfigurablePageStore plain_access_;
   std::unique_ptr<sql::Database> plain_db_;
-  std::unique_ptr<sql::Database> secure_db_;
   crypto::Drbg channel_drbg_;
 };
 

@@ -86,9 +86,6 @@ class SecurePageStore : public PageStore {
  public:
   explicit SecurePageStore(securestore::SecureStore* store) : store_(store) {}
 
-  /// Which CPU pays the verification cost (host in hos, storage in scs/sos).
-  void set_site(sim::Site site) { store_->set_site(site); }
-
   Result<Bytes> ReadPage(uint64_t id, sim::CostModel* cost) override;
   Status WritePage(uint64_t id, const Bytes& page,
                    sim::CostModel* cost) override;
@@ -100,43 +97,6 @@ class SecurePageStore : public PageStore {
  private:
   securestore::SecureStore* store_;
   uint64_t next_page_ = 0;
-};
-
-/// Decorator that additionally ships every page over the network — the
-/// host-only configurations access the storage server's pages via NFS
-/// (paper §6.1), paying network transfer on top of the remote disk read.
-class RemotePageStore : public PageStore {
- public:
-  explicit RemotePageStore(PageStore* inner) : inner_(inner) {}
-
-  Result<Bytes> ReadPage(uint64_t id, sim::CostModel* cost) override {
-    ASSIGN_OR_RETURN(Bytes page, inner_->ReadPage(id, cost));
-    if (cost != nullptr) cost->ChargeNetwork(page.size());
-    return page;
-  }
-  Status WritePage(uint64_t id, const Bytes& page,
-                   sim::CostModel* cost) override {
-    if (cost != nullptr) cost->ChargeNetwork(page.size());
-    return inner_->WritePage(id, page, cost);
-  }
-  uint64_t Allocate() override { return inner_->Allocate(); }
-  uint64_t num_pages() const override { return inner_->num_pages(); }
-  void BeginBatch() override { inner_->BeginBatch(); }
-  Status EndBatch() override { return inner_->EndBatch(); }
-  void BeginParallelRead(int slots) override {
-    inner_->BeginParallelRead(slots);
-  }
-  void EndParallelRead() override { inner_->EndParallelRead(); }
-  std::shared_ptr<const ColumnBatch> CachedBatch(uint64_t id) override {
-    return inner_->CachedBatch(id);
-  }
-  void CacheBatch(uint64_t id,
-                  std::shared_ptr<const ColumnBatch> batch) override {
-    inner_->CacheBatch(id, std::move(batch));
-  }
-
- private:
-  PageStore* inner_;
 };
 
 /// Pure in-memory page store (host-side intermediate tables).

@@ -145,7 +145,10 @@ INSTANTIATE_TEST_SUITE_P(AllEvaluatedQueries, ShardInvariance,
                          });
 
 // The single-shard fleet must agree with the single-node testbed: the
-// fleet generalizes scs, it does not redefine it.
+// fleet generalizes scs, it does not redefine it. Both build their
+// storage side from engine::StorageNode, so the node-level work matches
+// too: pages read, bytes shipped and rows scanned. Elapsed time does not
+// (the fleet charges its shard merge on the host).
 TEST_F(FleetTest, SingleShardFleetMatchesCsaSystem) {
   engine::CsaOptions options;
   options.scale_factor = kScaleFactor;
@@ -159,6 +162,10 @@ TEST_F(FleetTest, SingleShardFleetMatchesCsaSystem) {
     ASSERT_TRUE(scs.ok()) << scs.status().ToString();
     FleetOutcome out = MustRun(1, (*q)->sql);
     EXPECT_EQ(ExactRows(out.result), ExactRows(scs->result)) << "Q" << number;
+    EXPECT_EQ(out.storage_pages_read, scs->storage_pages_read) << "Q" << number;
+    EXPECT_EQ(out.shipped_bytes, scs->shipped_bytes) << "Q" << number;
+    EXPECT_EQ(out.stats.rows_scanned, scs->stats.rows_scanned)
+        << "Q" << number;
   }
 }
 

@@ -6,6 +6,7 @@
 #include "engine/csa_system.h"
 #include "engine/ironsafe.h"
 #include "engine/partitioner.h"
+#include "engine/storage_node.h"
 #include "sql/parser.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -139,6 +140,111 @@ TEST_F(PartitionerTest, SameTableTwiceGetsTwoFragments) {
   ASSERT_TRUE(plan.ok());
   ASSERT_EQ(plan->fragments.size(), 2u);
   EXPECT_NE(plan->fragments[0].dest_table, plan->fragments[1].dest_table);
+}
+
+// ---------------- storage node ----------------
+
+class StorageNodeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto node =
+        StorageNode::Create("test-storage-device", "node-0", manufacturer_);
+    ASSERT_TRUE(node.ok()) << node.status().ToString();
+    node_ = std::move(*node);
+    ASSERT_TRUE(
+        node_->db()->Execute("CREATE TABLE t (k INTEGER, v VARCHAR)").ok());
+    std::vector<sql::Row> rows;
+    for (int i = 0; i < 2000; ++i) {
+      rows.push_back({sql::Value::Int(i),
+                      sql::Value::String(
+                          std::string(40, static_cast<char>('a' + i % 26)))});
+    }
+    ASSERT_TRUE(node_->db()->BulkLoad("t", rows).ok());
+    node_->FinishLoad();
+    ASSERT_GT(node_->store()->num_pages(), 4u);
+  }
+
+  /// Reads one page through the node's access path on a fresh model.
+  sim::CostModel ReadPage(uint64_t id, const sim::HardwareProfile& profile =
+                                           sim::HardwareProfile::Paper()) {
+    sim::CostModel cost(profile);
+    EXPECT_TRUE(node_->access()->ReadPage(id, &cost).ok());
+    return cost;
+  }
+
+  tee::DeviceManufacturer manufacturer_{ToBytes("test-manufacturer")};
+  std::unique_ptr<StorageNode> node_;
+};
+
+TEST_F(StorageNodeTest, EnclaveReadChargesWorkingSetEpcFaults) {
+  // FinishLoad's working set is the data pages plus 96 B of Merkle MACs
+  // per page; with an EPC a quarter of that, about 3/4 of the data page
+  // and Merkle-path touches of one verified read fault.
+  uint64_t pages = node_->store()->num_pages();
+  uint64_t working_set = pages * (4096 + 96);
+  sim::HardwareProfile profile = sim::HardwareProfile::Paper();
+  profile.sgx.epc_bytes = working_set / 4;
+  double fault_fraction = 1.0 - static_cast<double>(profile.sgx.epc_bytes) /
+                                    static_cast<double>(working_set);
+  auto expected = static_cast<uint64_t>(
+      fault_fraction *
+          static_cast<double>(1 + node_->store()->merkle_depth()) +
+      0.5);
+  ASSERT_GT(expected, 0u);
+
+  tee::SgxMachine machine(ToBytes("test-host-platform"));
+  auto enclave = machine.LoadEnclave("host-engine", ToBytes("test engine"));
+  node_->BeginQuery(0);
+  node_->access()->set_enclave(enclave.get());
+  EXPECT_EQ(ReadPage(0, profile).epc_faults(), expected);
+  EXPECT_EQ(ReadPage(pages - 1, profile).epc_faults(), expected);
+}
+
+TEST_F(StorageNodeTest, BeginQueryRestoresColdStorageState) {
+  ConfigurablePageStore* access = node_->access();
+  node_->BeginQuery(kStorageMemoryBytes);
+  sim::SimNanos storage_decrypt_ns = ReadPage(1).decrypt_ns();
+  EXPECT_EQ(access->pages_read(), 1u);
+  EXPECT_EQ(ReadPage(1).decrypt_ns(), 0);  // served from the page cache
+  EXPECT_EQ(access->cache_hits(), 1u);
+
+  // Leave behind a host-only query's state: host-site verification over
+  // the network.
+  node_->store()->set_site(sim::Site::kHost);
+  access->set_remote(true);
+  sim::CostModel host_read = ReadPage(2);
+  EXPECT_NE(host_read.decrypt_ns(), storage_decrypt_ns);
+  EXPECT_GT(host_read.network_bytes(), 0u);
+
+  node_->BeginQuery(kStorageMemoryBytes);
+  EXPECT_EQ(access->pages_read(), 0u);
+  EXPECT_EQ(access->cache_hits(), 0u);
+  // Page 1 misses the emptied cache and is verified on the storage CPU,
+  // locally.
+  sim::CostModel cold_read = ReadPage(1);
+  EXPECT_EQ(cold_read.decrypt_ns(), storage_decrypt_ns);
+  EXPECT_EQ(cold_read.network_bytes(), 0u);
+  EXPECT_EQ(access->pages_read(), 1u);
+}
+
+TEST_F(StorageNodeTest, RekeyRejectsFramesSealedUnderTheOldKey) {
+  crypto::Drbg drbg(ToBytes("test-channel-drbg"));
+  ASSERT_TRUE(node_->Rekey(&drbg).ok());
+  Bytes payload = ToBytes("fragment batch");
+  // The old pair's first frame: the new host end expects the same
+  // sequence number, so only the key can reject it.
+  auto stale = node_->node_end()->Send(payload, nullptr);
+  ASSERT_TRUE(stale.ok());
+
+  ASSERT_TRUE(node_->Rekey(&drbg).ok());
+  EXPECT_FALSE(node_->host_end()->Receive(*stale, nullptr).ok());
+
+  ASSERT_TRUE(node_->Rekey(&drbg).ok());
+  auto fresh = node_->node_end()->Send(payload, nullptr);
+  ASSERT_TRUE(fresh.ok());
+  auto opened = node_->host_end()->Receive(*fresh, nullptr);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(*opened, payload);
 }
 
 // ---------------- CSA system ----------------

@@ -1,6 +1,6 @@
 // Clean fixture: dist may include its own headers plus anything
-// reachable through its declared deps (common, obs, sim, net, storage,
-// engine — and transitively sql, securestore, tee, crypto).
+// reachable through its declared deps (common, obs, sim, net, engine —
+// and transitively sql, storage, securestore, tee, crypto).
 #include "dist/fleet.h"
 #include "dist/planner.h"
 #include "engine/csa_system.h"

@@ -253,7 +253,7 @@ const std::map<std::string, std::vector<std::string>>& ModuleDeps() {
       // The distributed fleet generalizes engine's single-node testbed;
       // it may not include tpch (partition specs flow through
       // sql/partition.h) nor server.
-      {"dist", {"common", "obs", "sim", "net", "storage", "engine"}},
+      {"dist", {"common", "obs", "sim", "net", "engine"}},
       // The serving layer sits on top of everything; no lower module may
       // include server (enforced by its absence from their dep lists).
       {"server", {"common", "obs", "net", "engine"}},
