@@ -2,7 +2,9 @@
 // query exercises: hashing, MACs, page encryption, signatures, the
 // Merkle tree, the secure page store, the secure channel, and the
 // vectorized engine's filter/hash-probe kernels (with a boxed
-// row-at-a-time counterpart for before/after comparison).
+// row-at-a-time counterpart for before/after comparison). Each AES and
+// SHA-256 benchmark has a `_Portable` twin pinned to the portable code,
+// so one run shows what AES-NI / SHA-NI buy on the host.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +15,7 @@
 #include "crypto/chacha20.h"
 #include "crypto/ed25519.h"
 #include "crypto/hmac.h"
+#include "crypto/internal.h"
 #include "crypto/sha256.h"
 #include "crypto/sha512.h"
 #include "net/secure_channel.h"
@@ -25,6 +28,9 @@
 namespace ironsafe {
 namespace {
 
+constexpr crypto::internal::AesPath kPortableAes{false};
+constexpr crypto::internal::Sha256Path kPortableSha256{false};
+
 void BM_Sha256_4KiB(benchmark::State& state) {
   Bytes data(4096, 0xAB);
   for (auto _ : state) {
@@ -33,6 +39,34 @@ void BM_Sha256_4KiB(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_Sha256_4KiB);
+
+void BM_Sha256_4KiB_Portable(benchmark::State& state) {
+  Bytes data(4096, 0xAB);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kPortableSha256.Hash(data));
+  }
+  state.SetBytesProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_Sha256_4KiB_Portable);
+
+/// One Merkle node: HMAC-SHA-256 over two 32-byte child digests.
+void BM_HmacSha256_64B(benchmark::State& state) {
+  Bytes key(32, 1), node(64, 2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::HmacSha256(key, node));
+  }
+  state.SetBytesProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_HmacSha256_64B);
+
+void BM_HmacSha256_64B_Portable(benchmark::State& state) {
+  Bytes key(32, 1), node(64, 2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kPortableSha256.Hmac(key, node));
+  }
+  state.SetBytesProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_HmacSha256_64B_Portable);
 
 void BM_Sha512_4KiB(benchmark::State& state) {
   Bytes data(4096, 0xAB);
@@ -60,6 +94,56 @@ void BM_AesCbcEncrypt_4KiB(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_AesCbcEncrypt_4KiB);
+
+void BM_AesCbcEncrypt_4KiB_Portable(benchmark::State& state) {
+  Bytes key(32, 1), iv(16, 2), page(4096, 3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kPortableAes.CbcEncrypt(key, iv, page));
+  }
+  state.SetBytesProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_AesCbcEncrypt_4KiB_Portable);
+
+/// The page read's hot primitive (SecureStore::ReadPage decrypts every
+/// page it returns).
+void BM_AesCbcDecrypt_4KiB(benchmark::State& state) {
+  Bytes key(32, 1), iv(16, 2);
+  Bytes sealed = *crypto::AesCbcEncrypt(key, iv, Bytes(4096, 3));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::AesCbcDecrypt(key, iv, sealed));
+  }
+  state.SetBytesProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_AesCbcDecrypt_4KiB);
+
+void BM_AesCbcDecrypt_4KiB_Portable(benchmark::State& state) {
+  Bytes key(32, 1), iv(16, 2);
+  Bytes sealed = *crypto::AesCbcEncrypt(key, iv, Bytes(4096, 3));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kPortableAes.CbcDecrypt(key, iv, sealed));
+  }
+  state.SetBytesProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_AesCbcDecrypt_4KiB_Portable);
+
+/// The secure channel's cipher (Aead::Seal / Open).
+void BM_AesCtr_4KiB(benchmark::State& state) {
+  Bytes key(32, 1), nonce(16, 2), data(4096, 3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::AesCtr(key, nonce, data));
+  }
+  state.SetBytesProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_AesCtr_4KiB);
+
+void BM_AesCtr_4KiB_Portable(benchmark::State& state) {
+  Bytes key(32, 1), nonce(16, 2), data(4096, 3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kPortableAes.Ctr(key, nonce, data));
+  }
+  state.SetBytesProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_AesCtr_4KiB_Portable);
 
 void BM_ChaCha20_4KiB(benchmark::State& state) {
   Bytes key(32, 1), nonce(12, 2), data(4096, 3);

@@ -1,10 +1,21 @@
 #include "crypto/aes.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "crypto/internal.h"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace ironsafe::crypto {
 
 namespace {
+
+// ---- Portable AES: the only path without AES-NI, and the reference the
+// AES-NI path is tested against. The S-box lookups are table-driven and
+// therefore not constant-time.
 
 constexpr uint8_t kSbox[256] = {
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b,
@@ -80,49 +91,40 @@ uint32_t SubWord(uint32_t w) {
 
 uint32_t RotWord(uint32_t w) { return (w << 8) | (w >> 24); }
 
-}  // namespace
-
-Result<Aes> Aes::Create(const Bytes& key) {
-  if (key.size() != 16 && key.size() != 32) {
-    return Status::InvalidArgument("AES key must be 16 or 32 bytes");
-  }
-  Aes aes;
-  aes.ExpandKey(key);
-  return aes;
-}
-
-void Aes::ExpandKey(const Bytes& key) {
+/// FIPS 197 key expansion into byte-order round keys; returns the round
+/// count.
+int ExpandKeyPortable(const Bytes& key, uint8_t* round_keys) {
   const int nk = static_cast<int>(key.size() / 4);
-  rounds_ = nk + 6;
-  const int total = 4 * (rounds_ + 1);
+  const int rounds = nk + 6;
+  const int total = 4 * (rounds + 1);
 
+  uint32_t w[60] = {};
   for (int i = 0; i < nk; ++i) {
-    round_keys_[i] = static_cast<uint32_t>(key[4 * i]) << 24 |
-                     static_cast<uint32_t>(key[4 * i + 1]) << 16 |
-                     static_cast<uint32_t>(key[4 * i + 2]) << 8 |
-                     static_cast<uint32_t>(key[4 * i + 3]);
+    w[i] = static_cast<uint32_t>(key[4 * i]) << 24 |
+           static_cast<uint32_t>(key[4 * i + 1]) << 16 |
+           static_cast<uint32_t>(key[4 * i + 2]) << 8 |
+           static_cast<uint32_t>(key[4 * i + 3]);
   }
   for (int i = nk; i < total; ++i) {
-    uint32_t temp = round_keys_[i - 1];
+    uint32_t temp = w[i - 1];
     if (i % nk == 0) {
       temp = SubWord(RotWord(temp)) ^
              (static_cast<uint32_t>(kRcon[i / nk - 1]) << 24);
     } else if (nk > 6 && i % nk == 4) {
       temp = SubWord(temp);
     }
-    round_keys_[i] = round_keys_[i - nk] ^ temp;
+    w[i] = w[i - nk] ^ temp;
   }
+  for (int i = 0; i < total; ++i) {
+    for (int b = 0; b < 4; ++b) {
+      round_keys[4 * i + b] = static_cast<uint8_t>(w[i] >> (24 - 8 * b));
+    }
+  }
+  return rounds;
 }
 
-namespace {
-
-void AddRoundKey(uint8_t state[16], const uint32_t* rk) {
-  for (int c = 0; c < 4; ++c) {
-    state[4 * c] ^= static_cast<uint8_t>(rk[c] >> 24);
-    state[4 * c + 1] ^= static_cast<uint8_t>(rk[c] >> 16);
-    state[4 * c + 2] ^= static_cast<uint8_t>(rk[c] >> 8);
-    state[4 * c + 3] ^= static_cast<uint8_t>(rk[c]);
-  }
+void AddRoundKey(uint8_t state[16], const uint8_t* rk) {
+  for (int i = 0; i < 16; ++i) state[i] ^= rk[i];
 }
 
 void SubBytes(uint8_t state[16]) {
@@ -175,82 +177,380 @@ void InvMixColumns(uint8_t s[16]) {
   }
 }
 
-}  // namespace
-
-void Aes::EncryptBlock(const uint8_t in[16], uint8_t out[16]) const {
+void EncryptBlockPortable(const uint8_t* rk, int rounds, const uint8_t in[16],
+                          uint8_t out[16]) {
   uint8_t state[16];
   std::memcpy(state, in, 16);
-  AddRoundKey(state, round_keys_);
-  for (int round = 1; round < rounds_; ++round) {
+  AddRoundKey(state, rk);
+  for (int round = 1; round < rounds; ++round) {
     SubBytes(state);
     ShiftRows(state);
     MixColumns(state);
-    AddRoundKey(state, round_keys_ + 4 * round);
+    AddRoundKey(state, rk + 16 * round);
   }
   SubBytes(state);
   ShiftRows(state);
-  AddRoundKey(state, round_keys_ + 4 * rounds_);
+  AddRoundKey(state, rk + 16 * rounds);
   std::memcpy(out, state, 16);
 }
 
-void Aes::DecryptBlock(const uint8_t in[16], uint8_t out[16]) const {
+void DecryptBlockPortable(const uint8_t* rk, int rounds, const uint8_t in[16],
+                          uint8_t out[16]) {
   uint8_t state[16];
   std::memcpy(state, in, 16);
-  AddRoundKey(state, round_keys_ + 4 * rounds_);
-  for (int round = rounds_ - 1; round >= 1; --round) {
+  AddRoundKey(state, rk + 16 * rounds);
+  for (int round = rounds - 1; round >= 1; --round) {
     InvShiftRows(state);
     InvSubBytes(state);
-    AddRoundKey(state, round_keys_ + 4 * round);
+    AddRoundKey(state, rk + 16 * round);
     InvMixColumns(state);
   }
   InvShiftRows(state);
   InvSubBytes(state);
-  AddRoundKey(state, round_keys_);
+  AddRoundKey(state, rk);
   std::memcpy(out, state, 16);
 }
 
-Result<Bytes> AesCbcEncrypt(const Bytes& key, const Bytes& iv,
-                            const Bytes& plaintext) {
+/// CBC-encrypts `blocks` whole blocks of `data` in place.
+void CbcEncryptPortable(const uint8_t* rk, int rounds, const uint8_t* iv,
+                        uint8_t* data, size_t blocks) {
+  const uint8_t* prev = iv;
+  for (size_t b = 0; b < blocks; ++b) {
+    uint8_t* block = data + 16 * b;
+    for (int i = 0; i < 16; ++i) block[i] ^= prev[i];
+    EncryptBlockPortable(rk, rounds, block, block);
+    prev = block;
+  }
+}
+
+void CbcDecryptPortable(const uint8_t* rk, int rounds, const uint8_t* iv,
+                        const uint8_t* in, uint8_t* out, size_t blocks) {
+  const uint8_t* prev = iv;
+  for (size_t b = 0; b < blocks; ++b) {
+    uint8_t block[16];
+    DecryptBlockPortable(rk, rounds, in + 16 * b, block);
+    for (int i = 0; i < 16; ++i) out[16 * b + i] = block[i] ^ prev[i];
+    prev = in + 16 * b;
+  }
+}
+
+void CtrPortable(const uint8_t* rk, int rounds, const uint8_t* nonce,
+                 const uint8_t* in, uint8_t* out, size_t len) {
+  uint8_t counter[16];
+  std::memcpy(counter, nonce, 16);
+  uint8_t keystream[16];
+  for (size_t off = 0; off < len; off += 16) {
+    EncryptBlockPortable(rk, rounds, counter, keystream);
+    size_t n = std::min<size_t>(16, len - off);
+    for (size_t i = 0; i < n; ++i) out[off + i] = in[off + i] ^ keystream[i];
+    // Increment the big-endian counter in the low 8 bytes.
+    for (int i = 15; i >= 8; --i) {
+      if (++counter[i] != 0) break;
+    }
+  }
+}
+
+// ---- AES-NI: constant-time (no table lookups), 8 blocks in flight for
+// CBC decryption and CTR. Every function carries the target attribute
+// because the portable build compiles this file without -maes.
+
+#if defined(__x86_64__)
+
+#define IRONSAFE_AESNI __attribute__((target("aes,sse4.1")))
+
+IRONSAFE_AESNI inline __m128i Load(const uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+IRONSAFE_AESNI inline void Store(uint8_t* p, __m128i v) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+}
+
+/// One key-schedule step: prefix-XORs the four words of `k` and XORs in
+/// `t`, the broadcast SubWord/RotWord term.
+IRONSAFE_AESNI inline __m128i KeyMix(__m128i k, __m128i t) {
+  k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
+  k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
+  k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
+  return _mm_xor_si128(k, t);
+}
+
+// The round constant must be an immediate, hence the template parameter.
+template <int kRcon>
+IRONSAFE_AESNI inline void Expand128(__m128i* rk, int i) {
+  __m128i t = _mm_aeskeygenassist_si128(rk[i - 1], kRcon);
+  rk[i] = KeyMix(rk[i - 1], _mm_shuffle_epi32(t, 0xff));
+}
+
+/// Round keys i and i + 1 of AES-256 (only i for the last, i == 14).
+template <int kRcon>
+IRONSAFE_AESNI inline void Expand256(__m128i* rk, int i) {
+  __m128i t = _mm_aeskeygenassist_si128(rk[i - 1], kRcon);
+  rk[i] = KeyMix(rk[i - 2], _mm_shuffle_epi32(t, 0xff));
+  if (i == 14) return;
+  t = _mm_aeskeygenassist_si128(rk[i], 0);
+  rk[i + 1] = KeyMix(rk[i - 1], _mm_shuffle_epi32(t, 0xaa));
+}
+
+IRONSAFE_AESNI int ExpandKeyNi(const Bytes& key, uint8_t* enc, uint8_t* dec) {
+  __m128i rk[15];
+  int rounds;
+  rk[0] = Load(key.data());
+  if (key.size() == 16) {
+    rounds = 10;
+    Expand128<0x01>(rk, 1);
+    Expand128<0x02>(rk, 2);
+    Expand128<0x04>(rk, 3);
+    Expand128<0x08>(rk, 4);
+    Expand128<0x10>(rk, 5);
+    Expand128<0x20>(rk, 6);
+    Expand128<0x40>(rk, 7);
+    Expand128<0x80>(rk, 8);
+    Expand128<0x1b>(rk, 9);
+    Expand128<0x36>(rk, 10);
+  } else {
+    rounds = 14;
+    rk[1] = Load(key.data() + 16);
+    Expand256<0x01>(rk, 2);
+    Expand256<0x02>(rk, 4);
+    Expand256<0x04>(rk, 6);
+    Expand256<0x08>(rk, 8);
+    Expand256<0x10>(rk, 10);
+    Expand256<0x20>(rk, 12);
+    Expand256<0x40>(rk, 14);
+  }
+  for (int r = 0; r <= rounds; ++r) Store(enc + 16 * r, rk[r]);
+  // Equivalent inverse cipher: reversed keys, InvMixColumns on the middle.
+  Store(dec, rk[rounds]);
+  for (int r = 1; r < rounds; ++r) {
+    Store(dec + 16 * r, _mm_aesimc_si128(rk[rounds - r]));
+  }
+  Store(dec + 16 * rounds, rk[0]);
+  return rounds;
+}
+
+IRONSAFE_AESNI inline void LoadKeys(const uint8_t* rk, int rounds, __m128i* k) {
+  for (int r = 0; r <= rounds; ++r) k[r] = Load(rk + 16 * r);
+}
+
+IRONSAFE_AESNI inline __m128i Encrypt(const __m128i* k, int rounds, __m128i x) {
+  x = _mm_xor_si128(x, k[0]);
+  for (int r = 1; r < rounds; ++r) x = _mm_aesenc_si128(x, k[r]);
+  return _mm_aesenclast_si128(x, k[rounds]);
+}
+
+IRONSAFE_AESNI inline __m128i Decrypt(const __m128i* k, int rounds, __m128i x) {
+  x = _mm_xor_si128(x, k[0]);
+  for (int r = 1; r < rounds; ++r) x = _mm_aesdec_si128(x, k[r]);
+  return _mm_aesdeclast_si128(x, k[rounds]);
+}
+
+IRONSAFE_AESNI void EncryptBlockNi(const uint8_t* rk, int rounds,
+                                   const uint8_t in[16], uint8_t out[16]) {
+  __m128i k[15] = {};
+  LoadKeys(rk, rounds, k);
+  Store(out, Encrypt(k, rounds, Load(in)));
+}
+
+IRONSAFE_AESNI void DecryptBlockNi(const uint8_t* dk, int rounds,
+                                   const uint8_t in[16], uint8_t out[16]) {
+  __m128i k[15] = {};
+  LoadKeys(dk, rounds, k);
+  Store(out, Decrypt(k, rounds, Load(in)));
+}
+
+IRONSAFE_AESNI void CbcEncryptNi(const uint8_t* rk, int rounds,
+                                 const uint8_t* iv, uint8_t* data,
+                                 size_t blocks) {
+  __m128i k[15] = {};
+  LoadKeys(rk, rounds, k);
+  __m128i prev = Load(iv);
+  for (size_t b = 0; b < blocks; ++b) {
+    prev = Encrypt(k, rounds, _mm_xor_si128(Load(data + 16 * b), prev));
+    Store(data + 16 * b, prev);
+  }
+}
+
+/// CBC decryption has no chaining dependency between block decryptions,
+/// so eight blocks go through the AESDEC pipeline together.
+IRONSAFE_AESNI void CbcDecryptNi(const uint8_t* dk, int rounds,
+                                 const uint8_t* iv, const uint8_t* in,
+                                 uint8_t* out, size_t blocks) {
+  __m128i k[15] = {};
+  LoadKeys(dk, rounds, k);
+  __m128i prev = Load(iv);
+  size_t b = 0;
+  for (; b + 8 <= blocks; b += 8) {
+    __m128i c[8], x[8];
+#pragma GCC unroll 8
+    for (int j = 0; j < 8; ++j) {
+      c[j] = Load(in + 16 * (b + j));
+      x[j] = _mm_xor_si128(c[j], k[0]);
+    }
+    for (int r = 1; r < rounds; ++r) {
+#pragma GCC unroll 8
+      for (int j = 0; j < 8; ++j) x[j] = _mm_aesdec_si128(x[j], k[r]);
+    }
+#pragma GCC unroll 8
+    for (int j = 0; j < 8; ++j) {
+      x[j] = _mm_aesdeclast_si128(x[j], k[rounds]);
+      Store(out + 16 * (b + j), _mm_xor_si128(x[j], j == 0 ? prev : c[j - 1]));
+    }
+    prev = c[7];
+  }
+  for (; b < blocks; ++b) {
+    __m128i c = Load(in + 16 * b);
+    Store(out + 16 * b, _mm_xor_si128(Decrypt(k, rounds, c), prev));
+    prev = c;
+  }
+}
+
+/// Counter block `n` blocks after the nonce: the high 8 bytes stay fixed
+/// and the big-endian low 8 bytes wrap modulo 2^64.
+IRONSAFE_AESNI inline __m128i CounterBlock(uint64_t high, uint64_t low,
+                                           uint64_t n) {
+  return _mm_set_epi64x(static_cast<long long>(__builtin_bswap64(low + n)),
+                        static_cast<long long>(high));
+}
+
+IRONSAFE_AESNI void CtrNi(const uint8_t* rk, int rounds, const uint8_t* nonce,
+                          const uint8_t* in, uint8_t* out, size_t len) {
+  __m128i k[15] = {};
+  LoadKeys(rk, rounds, k);
+  uint64_t high, low;
+  std::memcpy(&high, nonce, 8);
+  std::memcpy(&low, nonce + 8, 8);
+  low = __builtin_bswap64(low);
+  uint64_t n = 0;
+  size_t off = 0;
+  for (; off + 128 <= len; off += 128, n += 8) {
+    __m128i x[8];
+#pragma GCC unroll 8
+    for (int j = 0; j < 8; ++j) {
+      x[j] = _mm_xor_si128(CounterBlock(high, low, n + static_cast<uint64_t>(j)), k[0]);
+    }
+    for (int r = 1; r < rounds; ++r) {
+#pragma GCC unroll 8
+      for (int j = 0; j < 8; ++j) x[j] = _mm_aesenc_si128(x[j], k[r]);
+    }
+#pragma GCC unroll 8
+    for (int j = 0; j < 8; ++j) {
+      x[j] = _mm_aesenclast_si128(x[j], k[rounds]);
+      uint8_t* o = out + off + 16 * j;
+      Store(o, _mm_xor_si128(x[j], Load(in + off + 16 * j)));
+    }
+  }
+  for (; off < len; off += 16, ++n) {
+    __m128i ks = Encrypt(k, rounds, CounterBlock(high, low, n));
+    if (len - off >= 16) {
+      Store(out + off, _mm_xor_si128(ks, Load(in + off)));
+      continue;
+    }
+    uint8_t tail[16];
+    Store(tail, ks);
+    for (size_t i = 0; off + i < len; ++i) out[off + i] = in[off + i] ^ tail[i];
+  }
+}
+
+#undef IRONSAFE_AESNI
+
+bool DetectAesNi() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("aes") && __builtin_cpu_supports("sse4.1");
+}
+
+#else  // !defined(__x86_64__)
+
+// No AES-NI off x86-64: DetectAesNi() is false, so these never run.
+bool DetectAesNi() { return false; }
+int ExpandKeyNi(const Bytes& key, uint8_t* enc, uint8_t*) {
+  return ExpandKeyPortable(key, enc);
+}
+void EncryptBlockNi(const uint8_t* rk, int rounds, const uint8_t in[16],
+                    uint8_t out[16]) {
+  EncryptBlockPortable(rk, rounds, in, out);
+}
+void DecryptBlockNi(const uint8_t* rk, int rounds, const uint8_t in[16],
+                    uint8_t out[16]) {
+  DecryptBlockPortable(rk, rounds, in, out);
+}
+void CbcEncryptNi(const uint8_t* rk, int rounds, const uint8_t* iv,
+                  uint8_t* data, size_t blocks) {
+  CbcEncryptPortable(rk, rounds, iv, data, blocks);
+}
+void CbcDecryptNi(const uint8_t* rk, int rounds, const uint8_t* iv,
+                  const uint8_t* in, uint8_t* out, size_t blocks) {
+  CbcDecryptPortable(rk, rounds, iv, in, out, blocks);
+}
+void CtrNi(const uint8_t* rk, int rounds, const uint8_t* nonce,
+           const uint8_t* in, uint8_t* out, size_t len) {
+  CtrPortable(rk, rounds, nonce, in, out, len);
+}
+
+#endif  // defined(__x86_64__)
+
+internal::AesPath DefaultPath() { return {internal::CpuHasAesNi()}; }
+
+}  // namespace
+
+namespace internal {
+
+bool CpuHasAesNi() {
+  static const bool has = DetectAesNi();
+  return has;
+}
+
+Result<Aes> AesPath::Create(const Bytes& key) const {
+  if (key.size() != 16 && key.size() != 32) {
+    return Status::InvalidArgument("AES key must be 16 or 32 bytes");
+  }
+  Aes aes;
+  aes.accelerated_ = accelerated;
+  aes.rounds_ = accelerated
+                    ? ExpandKeyNi(key, aes.enc_keys_, aes.dec_keys_)
+                    : ExpandKeyPortable(key, aes.enc_keys_);
+  return aes;
+}
+
+Result<Bytes> AesPath::CbcEncrypt(const Bytes& key, const Bytes& iv,
+                                  const Bytes& plaintext) const {
   if (iv.size() != Aes::kBlockSize) {
     return Status::InvalidArgument("CBC IV must be 16 bytes");
   }
-  ASSIGN_OR_RETURN(Aes aes, Aes::Create(key));
+  ASSIGN_OR_RETURN(Aes aes, Create(key));
 
-  // PKCS#7 pad.
+  // PKCS#7 pad, then encrypt in place.
   size_t pad = Aes::kBlockSize - plaintext.size() % Aes::kBlockSize;
-  Bytes padded = plaintext;
-  padded.insert(padded.end(), pad, static_cast<uint8_t>(pad));
-
-  Bytes out(padded.size());
-  uint8_t prev[16];
-  std::memcpy(prev, iv.data(), 16);
-  for (size_t off = 0; off < padded.size(); off += 16) {
-    uint8_t block[16];
-    for (int i = 0; i < 16; ++i) block[i] = padded[off + i] ^ prev[i];
-    aes.EncryptBlock(block, out.data() + off);
-    std::memcpy(prev, out.data() + off, 16);
+  Bytes out(plaintext.size() + pad, static_cast<uint8_t>(pad));
+  std::copy(plaintext.begin(), plaintext.end(), out.begin());
+  const size_t blocks = out.size() / Aes::kBlockSize;
+  if (aes.accelerated_) {
+    CbcEncryptNi(aes.enc_keys_, aes.rounds_, iv.data(), out.data(), blocks);
+  } else {
+    CbcEncryptPortable(aes.enc_keys_, aes.rounds_, iv.data(), out.data(),
+                       blocks);
   }
   return out;
 }
 
-Result<Bytes> AesCbcDecrypt(const Bytes& key, const Bytes& iv,
-                            const Bytes& ciphertext) {
+Result<Bytes> AesPath::CbcDecrypt(const Bytes& key, const Bytes& iv,
+                                  const Bytes& ciphertext) const {
   if (iv.size() != Aes::kBlockSize) {
     return Status::InvalidArgument("CBC IV must be 16 bytes");
   }
   if (ciphertext.empty() || ciphertext.size() % Aes::kBlockSize != 0) {
     return Status::InvalidArgument("CBC ciphertext not block aligned");
   }
-  ASSIGN_OR_RETURN(Aes aes, Aes::Create(key));
+  ASSIGN_OR_RETURN(Aes aes, Create(key));
 
   Bytes out(ciphertext.size());
-  uint8_t prev[16];
-  std::memcpy(prev, iv.data(), 16);
-  for (size_t off = 0; off < ciphertext.size(); off += 16) {
-    uint8_t block[16];
-    aes.DecryptBlock(ciphertext.data() + off, block);
-    for (int i = 0; i < 16; ++i) out[off + i] = block[i] ^ prev[i];
-    std::memcpy(prev, ciphertext.data() + off, 16);
+  const size_t blocks = ciphertext.size() / Aes::kBlockSize;
+  if (aes.accelerated_) {
+    CbcDecryptNi(aes.dec_keys_, aes.rounds_, iv.data(), ciphertext.data(),
+                 out.data(), blocks);
+  } else {
+    CbcDecryptPortable(aes.enc_keys_, aes.rounds_, iv.data(),
+                       ciphertext.data(), out.data(), blocks);
   }
 
   uint8_t pad = out.back();
@@ -264,26 +564,56 @@ Result<Bytes> AesCbcDecrypt(const Bytes& key, const Bytes& iv,
   return out;
 }
 
-Result<Bytes> AesCtr(const Bytes& key, const Bytes& nonce, const Bytes& data) {
+Result<Bytes> AesPath::Ctr(const Bytes& key, const Bytes& nonce,
+                           const Bytes& data) const {
   if (nonce.size() != Aes::kBlockSize) {
     return Status::InvalidArgument("CTR nonce must be 16 bytes");
   }
-  ASSIGN_OR_RETURN(Aes aes, Aes::Create(key));
+  ASSIGN_OR_RETURN(Aes aes, Create(key));
 
   Bytes out(data.size());
-  uint8_t counter[16];
-  std::memcpy(counter, nonce.data(), 16);
-  uint8_t keystream[16];
-  for (size_t off = 0; off < data.size(); off += 16) {
-    aes.EncryptBlock(counter, keystream);
-    size_t n = std::min<size_t>(16, data.size() - off);
-    for (size_t i = 0; i < n; ++i) out[off + i] = data[off + i] ^ keystream[i];
-    // Increment the big-endian counter in the low 8 bytes.
-    for (int i = 15; i >= 8; --i) {
-      if (++counter[i] != 0) break;
-    }
+  if (aes.accelerated_) {
+    CtrNi(aes.enc_keys_, aes.rounds_, nonce.data(), data.data(), out.data(),
+          data.size());
+  } else {
+    CtrPortable(aes.enc_keys_, aes.rounds_, nonce.data(), data.data(),
+                out.data(), data.size());
   }
   return out;
+}
+
+}  // namespace internal
+
+Result<Aes> Aes::Create(const Bytes& key) { return DefaultPath().Create(key); }
+
+void Aes::EncryptBlock(const uint8_t in[16], uint8_t out[16]) const {
+  if (accelerated_) {
+    EncryptBlockNi(enc_keys_, rounds_, in, out);
+  } else {
+    EncryptBlockPortable(enc_keys_, rounds_, in, out);
+  }
+}
+
+void Aes::DecryptBlock(const uint8_t in[16], uint8_t out[16]) const {
+  if (accelerated_) {
+    DecryptBlockNi(dec_keys_, rounds_, in, out);
+  } else {
+    DecryptBlockPortable(enc_keys_, rounds_, in, out);
+  }
+}
+
+Result<Bytes> AesCbcEncrypt(const Bytes& key, const Bytes& iv,
+                            const Bytes& plaintext) {
+  return DefaultPath().CbcEncrypt(key, iv, plaintext);
+}
+
+Result<Bytes> AesCbcDecrypt(const Bytes& key, const Bytes& iv,
+                            const Bytes& ciphertext) {
+  return DefaultPath().CbcDecrypt(key, iv, ciphertext);
+}
+
+Result<Bytes> AesCtr(const Bytes& key, const Bytes& nonce, const Bytes& data) {
+  return DefaultPath().Ctr(key, nonce, data);
 }
 
 }  // namespace ironsafe::crypto

@@ -8,7 +8,13 @@
 
 namespace ironsafe::crypto {
 
-/// AES block cipher (FIPS 197) supporting 128- and 256-bit keys.
+namespace internal {
+struct AesPath;  // crypto/internal.h
+}
+
+/// AES block cipher (FIPS 197) supporting 128- and 256-bit keys. Runs on
+/// AES-NI when the CPU has it (constant-time), otherwise on the portable
+/// table-driven code.
 class Aes {
  public:
   static constexpr size_t kBlockSize = 16;
@@ -20,11 +26,15 @@ class Aes {
   void DecryptBlock(const uint8_t in[16], uint8_t out[16]) const;
 
  private:
+  friend struct internal::AesPath;
   Aes() = default;
-  void ExpandKey(const Bytes& key);
 
-  uint32_t round_keys_[60];
+  /// Round keys in byte order, 16 bytes per round.
+  alignas(16) uint8_t enc_keys_[15 * 16] = {};
+  /// AES-NI only: the equivalent inverse cipher's round keys.
+  alignas(16) uint8_t dec_keys_[15 * 16] = {};
   int rounds_ = 0;
+  bool accelerated_ = false;
 };
 
 /// AES-CBC with PKCS#7 padding. `iv` must be 16 bytes. The paper's secure

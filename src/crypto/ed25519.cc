@@ -1,8 +1,11 @@
-// Ed25519 / X25519 implementation following the TweetNaCl construction:
-// field elements of GF(2^255 - 19) in radix-2^16 limbs (int64[16]), the
-// Montgomery ladder for X25519, and extended Edwards coordinates for
-// Ed25519. Validated against RFC 8032 / RFC 7748 test vectors in
-// tests/crypto_test.cc.
+// Ed25519 (RFC 8032) and X25519 (RFC 7748) over GF(2^255 - 19). Field
+// elements are five 51-bit limbs multiplied through unsigned __int128
+// (the ref10 / curve25519-donna 64-bit formulation). Work on secrets is
+// constant-time: the X25519 Montgomery ladder swaps with masks, and the
+// fixed-base multiplication [a]B reads every entry of a precomputed
+// table row through masked selects. Verification uses the same signed
+// 4-bit windows for [h](-A) on public data. tests/ed25519_ref.cc keeps
+// the earlier 16-limb TweetNaCl code that crypto_test compares against.
 
 #include "crypto/ed25519.h"
 
@@ -14,197 +17,398 @@ namespace ironsafe::crypto {
 
 namespace {
 
-using i64 = int64_t;
-using Gf = i64[16];
+using u128 = unsigned __int128;
 
-const Gf kGf0 = {0};
-const Gf kGf1 = {1};
-const Gf k121665 = {0xDB41, 1};
-const Gf kD = {0x78a3, 0x1359, 0x4dca, 0x75eb, 0xd8ab, 0x4141, 0x0a4d, 0x0070,
-               0xe898, 0x7779, 0x4079, 0x8cc7, 0xfe73, 0x2b6f, 0x6cee, 0x5203};
-const Gf kD2 = {0xf159, 0x26b2, 0x9b94, 0xebd6, 0xb156, 0x8283, 0x149a, 0x00e0,
-                0xd130, 0xeef3, 0x80f2, 0x198e, 0xfce7, 0x56df, 0xd9dc, 0x2406};
-const Gf kX = {0xd51a, 0x8f25, 0x2d60, 0xc956, 0xa7b2, 0x9525, 0xc760, 0x692c,
-               0xdc5c, 0xfdd6, 0xe231, 0xc0a4, 0x53fe, 0xcd6e, 0x36d3, 0x2169};
-const Gf kY = {0x6658, 0x6666, 0x6666, 0x6666, 0x6666, 0x6666, 0x6666, 0x6666,
-               0x6666, 0x6666, 0x6666, 0x6666, 0x6666, 0x6666, 0x6666, 0x6666};
-const Gf kI = {0xa0b0, 0x4a0e, 0x1b27, 0xc4ee, 0xe478, 0xad2f, 0x1806, 0x2f43,
-               0xd7a7, 0x3dfb, 0x0099, 0x2b4d, 0xdf0b, 0x4fc1, 0x2480, 0x2b83};
+constexpr uint64_t kMask51 = (uint64_t{1} << 51) - 1;
 
-void Set25519(Gf r, const Gf a) {
-  for (int i = 0; i < 16; ++i) r[i] = a[i];
+/// a = v[0] + v[1]·2^51 + ... + v[4]·2^204. Every Fe the functions below
+/// return has limbs below 2^52, which keeps Mul's 128-bit sums in range.
+struct Fe {
+  uint64_t v[5];
+};
+
+constexpr Fe kZero = {{0, 0, 0, 0, 0}};
+constexpr Fe kOne = {{1, 0, 0, 0, 0}};
+// d = -121665/121666, 2d, sqrt(-1) and the base point B = (x, 4/5).
+constexpr Fe kD = {{0x34dca135978a3, 0x1a8283b156ebd, 0x5e7a26001c029,
+                    0x739c663a03cbb, 0x52036cee2b6ff}};
+constexpr Fe kD2 = {{0x69b9426b2f159, 0x35050762add7a, 0x3cf44c0038052,
+                     0x6738cc7407977, 0x2406d9dc56dff}};
+constexpr Fe kSqrtM1 = {{0x61b274a0ea0b0, 0xd5a5fc8f189d, 0x7ef5e9cbd0c60,
+                         0x78595a6804c9e, 0x2b8324804fc1d}};
+constexpr Fe kBaseX = {{0x62d608f25d51a, 0x412a4b4f6592a, 0x75b7171a4b31d,
+                        0x1ff60527118fe, 0x216936d3cd6e5}};
+constexpr Fe kBaseY = {{0x6666666666658, 0x4cccccccccccc, 0x1999999999999,
+                        0x3333333333333, 0x6666666666666}};
+
+/// Propagates carries once; the top carry re-enters limb 0 times 19.
+void Carry(Fe& f) {
+  for (int i = 0; i < 4; ++i) {
+    f.v[i + 1] += f.v[i] >> 51;
+    f.v[i] &= kMask51;
+  }
+  uint64_t c = f.v[4] >> 51;
+  f.v[4] &= kMask51;
+  f.v[0] += 19 * c;
 }
 
-void Car25519(Gf o) {
-  for (int i = 0; i < 16; ++i) {
-    o[i] += (1LL << 16);
-    i64 c = o[i] >> 16;
-    o[(i + 1) * (i < 15)] += c - 1 + 37 * (c - 1) * (i == 15);
-    o[i] -= c << 16;
+Fe Add(const Fe& a, const Fe& b) {
+  Fe h;
+  for (int i = 0; i < 5; ++i) h.v[i] = a.v[i] + b.v[i];
+  Carry(h);
+  return h;
+}
+
+/// a - b + 2p, so no limb goes negative for b below 2^52.
+Fe Sub(const Fe& a, const Fe& b) {
+  Fe h;
+  h.v[0] = a.v[0] + 0xfffffffffffdaULL - b.v[0];
+  for (int i = 1; i < 5; ++i) h.v[i] = a.v[i] + 0xffffffffffffeULL - b.v[i];
+  Carry(h);
+  return h;
+}
+
+Fe Neg(const Fe& a) { return Sub(kZero, a); }
+
+/// Reduces 128-bit column sums to limbs below 2^52.
+Fe Reduce(u128 r0, u128 r1, u128 r2, u128 r3, u128 r4) {
+  Fe h;
+  r1 += static_cast<uint64_t>(r0 >> 51);
+  h.v[0] = static_cast<uint64_t>(r0) & kMask51;
+  r2 += static_cast<uint64_t>(r1 >> 51);
+  h.v[1] = static_cast<uint64_t>(r1) & kMask51;
+  r3 += static_cast<uint64_t>(r2 >> 51);
+  h.v[2] = static_cast<uint64_t>(r2) & kMask51;
+  r4 += static_cast<uint64_t>(r3 >> 51);
+  h.v[3] = static_cast<uint64_t>(r3) & kMask51;
+  uint64_t c = static_cast<uint64_t>(r4 >> 51);
+  h.v[4] = static_cast<uint64_t>(r4) & kMask51;
+  h.v[0] += 19 * c;
+  h.v[1] += h.v[0] >> 51;
+  h.v[0] &= kMask51;
+  return h;
+}
+
+Fe Mul(const Fe& a, const Fe& b) {
+  const uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3],
+                 a4 = a.v[4];
+  const uint64_t b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3],
+                 b4 = b.v[4];
+  const uint64_t b1_19 = 19 * b1, b2_19 = 19 * b2, b3_19 = 19 * b3,
+                 b4_19 = 19 * b4;
+  u128 r0 = u128{a0} * b0 + u128{a1} * b4_19 + u128{a2} * b3_19 +
+            u128{a3} * b2_19 + u128{a4} * b1_19;
+  u128 r1 = u128{a0} * b1 + u128{a1} * b0 + u128{a2} * b4_19 +
+            u128{a3} * b3_19 + u128{a4} * b2_19;
+  u128 r2 = u128{a0} * b2 + u128{a1} * b1 + u128{a2} * b0 + u128{a3} * b4_19 +
+            u128{a4} * b3_19;
+  u128 r3 = u128{a0} * b3 + u128{a1} * b2 + u128{a2} * b1 + u128{a3} * b0 +
+            u128{a4} * b4_19;
+  u128 r4 = u128{a0} * b4 + u128{a1} * b3 + u128{a2} * b2 + u128{a3} * b1 +
+            u128{a4} * b0;
+  return Reduce(r0, r1, r2, r3, r4);
+}
+
+Fe Sq(const Fe& a) {
+  const uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3],
+                 a4 = a.v[4];
+  const uint64_t d0 = 2 * a0, d1 = 2 * a1, d2 = 2 * a2, d3 = 2 * a3;
+  const uint64_t a3_19 = 19 * a3, a4_19 = 19 * a4;
+  u128 r0 = u128{a0} * a0 + u128{d1} * a4_19 + u128{d2} * a3_19;
+  u128 r1 = u128{d0} * a1 + u128{d2} * a4_19 + u128{a3} * a3_19;
+  u128 r2 = u128{d0} * a2 + u128{a1} * a1 + u128{d3} * a4_19;
+  u128 r3 = u128{d0} * a3 + u128{d1} * a2 + u128{a4} * a4_19;
+  u128 r4 = u128{d0} * a4 + u128{d1} * a3 + u128{a2} * a2;
+  return Reduce(r0, r1, r2, r3, r4);
+}
+
+/// a squared n times.
+Fe SqN(Fe a, int n) {
+  for (int i = 0; i < n; ++i) a = Sq(a);
+  return a;
+}
+
+Fe MulSmall(const Fe& a, uint64_t k) {
+  return Reduce(u128{a.v[0]} * k, u128{a.v[1]} * k, u128{a.v[2]} * k,
+                u128{a.v[3]} * k, u128{a.v[4]} * k);
+}
+
+/// z^(2^250 - 1), with z^11 in *z11: the shared prefix of both
+/// exponentiation chains below.
+Fe Pow2250Minus1(const Fe& z, Fe* z11) {
+  Fe z2 = Sq(z);
+  Fe z9 = Mul(SqN(z2, 2), z);
+  *z11 = Mul(z9, z2);
+  Fe z_5_0 = Mul(Sq(*z11), z9);                // 2^5 - 1
+  Fe z_10_0 = Mul(SqN(z_5_0, 5), z_5_0);       // 2^10 - 1
+  Fe z_20_0 = Mul(SqN(z_10_0, 10), z_10_0);    // 2^20 - 1
+  Fe z_40_0 = Mul(SqN(z_20_0, 20), z_20_0);    // 2^40 - 1
+  Fe z_50_0 = Mul(SqN(z_40_0, 10), z_10_0);    // 2^50 - 1
+  Fe z_100_0 = Mul(SqN(z_50_0, 50), z_50_0);   // 2^100 - 1
+  Fe z_200_0 = Mul(SqN(z_100_0, 100), z_100_0);  // 2^200 - 1
+  return Mul(SqN(z_200_0, 50), z_50_0);        // 2^250 - 1
+}
+
+/// z^(p - 2) = 1/z (0 for z = 0).
+Fe Invert(const Fe& z) {
+  Fe z11;
+  Fe t = Pow2250Minus1(z, &z11);
+  return Mul(SqN(t, 5), z11);  // 2^255 - 21
+}
+
+/// z^((p - 5) / 8) = z^(2^252 - 3), for square roots.
+Fe Pow22523(const Fe& z) {
+  Fe z11;
+  Fe t = Pow2250Minus1(z, &z11);
+  return Mul(SqN(t, 2), z);
+}
+
+uint64_t Load64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
+  return v;
+}
+
+/// Little-endian bytes to a field element, ignoring bit 255.
+Fe FromBytes(const uint8_t s[32]) {
+  Fe h;
+  h.v[0] = Load64(s) & kMask51;
+  h.v[1] = (Load64(s + 6) >> 3) & kMask51;
+  h.v[2] = (Load64(s + 12) >> 6) & kMask51;
+  h.v[3] = (Load64(s + 19) >> 1) & kMask51;
+  h.v[4] = (Load64(s + 24) >> 12) & kMask51;
+  return h;
+}
+
+/// The canonical (fully reduced) little-endian encoding.
+void ToBytes(uint8_t s[32], const Fe& f) {
+  Fe t = f;
+  Carry(t);
+  Carry(t);
+  // t < 2^255 + 19 now. Adding 19 and carrying with wrap-around subtracts
+  // p exactly when t >= p; the 2^255 - 19 added next is dropped with the
+  // final top carry, leaving t mod p.
+  t.v[0] += 19;
+  Carry(t);
+  t.v[0] += 0x8000000000000ULL - 19;
+  for (int i = 1; i < 5; ++i) t.v[i] += 0x8000000000000ULL - 1;
+  for (int i = 0; i < 4; ++i) {
+    t.v[i + 1] += t.v[i] >> 51;
+    t.v[i] &= kMask51;
+  }
+  t.v[4] &= kMask51;
+
+  const uint64_t words[4] = {t.v[0] | t.v[1] << 51, t.v[1] >> 13 | t.v[2] << 38,
+                             t.v[2] >> 26 | t.v[3] << 25,
+                             t.v[3] >> 39 | t.v[4] << 12};
+  for (int i = 0; i < 32; ++i) {
+    s[i] = static_cast<uint8_t>(words[i / 8] >> (8 * (i % 8)));
   }
 }
 
-void Sel25519(Gf p, Gf q, int b) {
-  i64 c = ~static_cast<i64>(b - 1);
-  for (int i = 0; i < 16; ++i) {
-    i64 t = c & (p[i] ^ q[i]);
-    p[i] ^= t;
-    q[i] ^= t;
+bool IsNegative(const Fe& f) {
+  uint8_t s[32];
+  ToBytes(s, f);
+  return s[0] & 1;
+}
+
+bool Equal(const Fe& a, const Fe& b) {
+  uint8_t x[32], y[32];
+  ToBytes(x, a);
+  ToBytes(y, b);
+  uint8_t d = 0;
+  for (int i = 0; i < 32; ++i) d |= static_cast<uint8_t>(x[i] ^ y[i]);
+  return d == 0;
+}
+
+/// f = g if bit is 1, unchanged if 0, without branching on bit.
+void CMov(Fe& f, const Fe& g, uint64_t bit) {
+  const uint64_t mask = 0 - bit;
+  for (int i = 0; i < 5; ++i) f.v[i] ^= mask & (f.v[i] ^ g.v[i]);
+}
+
+void CSwap(Fe& f, Fe& g, uint64_t bit) {
+  const uint64_t mask = 0 - bit;
+  for (int i = 0; i < 5; ++i) {
+    uint64_t t = mask & (f.v[i] ^ g.v[i]);
+    f.v[i] ^= t;
+    g.v[i] ^= t;
   }
 }
 
-void Pack25519(uint8_t* o, const Gf n) {
-  Gf m, t;
-  Set25519(t, n);
-  Car25519(t);
-  Car25519(t);
-  Car25519(t);
-  for (int j = 0; j < 2; ++j) {
-    m[0] = t[0] - 0xffed;
-    for (int i = 1; i < 15; ++i) {
-      m[i] = t[i] - 0xffff - ((m[i - 1] >> 16) & 1);
-      m[i - 1] &= 0xffff;
+// ---- Edwards points ----
+
+/// Extended coordinates: x = X/Z, y = Y/Z, xy = T/Z.
+struct Ge {
+  Fe X, Y, Z, T;
+};
+
+/// A point prepared as the second operand of an addition.
+struct Cached {
+  Fe YplusX, YminusX, Z, T2d;
+};
+
+constexpr Ge kIdentity = {kZero, kOne, kOne, kZero};
+constexpr Cached kCachedIdentity = {kOne, kOne, kOne, kZero};
+
+Cached ToCached(const Ge& p) {
+  return {Add(p.Y, p.X), Sub(p.Y, p.X), p.Z, Mul(p.T, kD2)};
+}
+
+/// p + q (add-2008-hwcd-3; complete on Ed25519, so also for p == q).
+Ge AddCached(const Ge& p, const Cached& q) {
+  Fe a = Mul(Sub(p.Y, p.X), q.YminusX);
+  Fe b = Mul(Add(p.Y, p.X), q.YplusX);
+  Fe c = Mul(p.T, q.T2d);
+  Fe d = Mul(p.Z, q.Z);
+  d = Add(d, d);
+  Fe e = Sub(b, a), f = Sub(d, c), g = Add(d, c), h = Add(b, a);
+  return {Mul(e, f), Mul(g, h), Mul(f, g), Mul(e, h)};
+}
+
+/// 2p (dbl-2008-hwcd), signs flipped so both products keep their sign.
+Ge Double(const Ge& p) {
+  Fe a = Sq(p.X), b = Sq(p.Y);
+  Fe c = Sq(p.Z);
+  c = Add(c, c);
+  Fe h = Add(a, b);
+  Fe e = Sub(h, Sq(Add(p.X, p.Y)));
+  Fe g = Sub(a, b);
+  Fe f = Add(c, g);
+  return {Mul(e, f), Mul(g, h), Mul(f, g), Mul(e, h)};
+}
+
+Ge Times16(Ge p) {
+  for (int i = 0; i < 4; ++i) p = Double(p);
+  return p;
+}
+
+void Pack(uint8_t out[32], const Ge& p) {
+  Fe zi = Invert(p.Z);
+  ToBytes(out, Mul(p.Y, zi));
+  out[31] ^= static_cast<uint8_t>(IsNegative(Mul(p.X, zi)) << 7);
+}
+
+/// 1 iff a == b, for small non-negative a, b; branch-free.
+uint64_t EqualMask(uint64_t a, uint64_t b) { return ((a ^ b) - 1) >> 63; }
+
+/// digit·P for digit in [-8, 8] from table[j] = (j + 1)·P, touching
+/// every entry regardless of the digit.
+Cached Select(const Cached table[8], int digit) {
+  const uint64_t negative = static_cast<uint64_t>(digit) >> 63;
+  const uint64_t magnitude =
+      static_cast<uint64_t>(digit) - ((0 - negative) &
+                                       (static_cast<uint64_t>(digit) << 1));
+  Cached t = kCachedIdentity;
+  for (uint64_t j = 0; j < 8; ++j) {
+    const uint64_t hit = EqualMask(magnitude, j + 1);
+    CMov(t.YplusX, table[j].YplusX, hit);
+    CMov(t.YminusX, table[j].YminusX, hit);
+    CMov(t.Z, table[j].Z, hit);
+    CMov(t.T2d, table[j].T2d, hit);
+  }
+  // -(x, y) = (-x, y): swap Y+X with Y-X and negate 2dT.
+  Fe yplusx = t.YplusX;
+  CMov(t.YplusX, t.YminusX, negative);
+  CMov(t.YminusX, yplusx, negative);
+  CMov(t.T2d, Neg(t.T2d), negative);
+  return t;
+}
+
+/// Signed radix-16 digits in [-8, 8]: a = sum e[i]·16^i. Needs
+/// a[31] <= 127.
+void Recode(const uint8_t a[32], int e[64]) {
+  for (int i = 0; i < 32; ++i) {
+    e[2 * i] = a[i] & 15;
+    e[2 * i + 1] = a[i] >> 4;
+  }
+  int carry = 0;
+  for (int i = 0; i < 63; ++i) {
+    e[i] += carry;
+    carry = (e[i] + 8) >> 4;
+    e[i] -= carry << 4;
+  }
+  e[63] += carry;
+}
+
+/// rows[i][j] = (j + 1)·256^i·B.
+struct BaseTable {
+  Cached rows[32][8];
+};
+
+const BaseTable& Base() {
+  static const BaseTable table = [] {
+    BaseTable t;
+    Ge row_base = {kBaseX, kBaseY, kOne, Mul(kBaseX, kBaseY)};
+    for (int i = 0; i < 32; ++i) {
+      Cached step = ToCached(row_base);
+      Ge multiple = row_base;
+      for (int j = 0; j < 8; ++j) {
+        t.rows[i][j] = ToCached(multiple);
+        multiple = AddCached(multiple, step);
+      }
+      for (int k = 0; k < 8; ++k) row_base = Double(row_base);
     }
-    m[15] = t[15] - 0x7fff - ((m[14] >> 16) & 1);
-    int b = static_cast<int>((m[15] >> 16) & 1);
-    m[14] &= 0xffff;
-    Sel25519(t, m, 1 - b);
+    return t;
+  }();
+  return table;
+}
+
+/// [a]B in constant time (ref10's fixed-window method): odd digits
+/// first, one multiplication by 16, then even digits; each digit is one
+/// table-row select and one addition. Needs a[31] <= 127.
+Ge ScalarMultBase(const uint8_t a[32]) {
+  const BaseTable& base = Base();
+  int e[64];
+  Recode(a, e);
+  Ge h = kIdentity;
+  for (int i = 1; i < 64; i += 2) h = AddCached(h, Select(base.rows[i / 2], e[i]));
+  h = Times16(h);
+  for (int i = 0; i < 64; i += 2) h = AddCached(h, Select(base.rows[i / 2], e[i]));
+  return h;
+}
+
+/// [a]P with signed 4-bit windows. Needs a[31] <= 127.
+Ge ScalarMult(const Ge& p, const uint8_t a[32]) {
+  Cached table[8];
+  table[0] = ToCached(p);
+  Ge multiple = p;
+  for (int j = 1; j < 8; ++j) {
+    multiple = AddCached(multiple, table[0]);
+    table[j] = ToCached(multiple);
   }
-  for (int i = 0; i < 16; ++i) {
-    o[2 * i] = static_cast<uint8_t>(t[i] & 0xff);
-    o[2 * i + 1] = static_cast<uint8_t>(t[i] >> 8);
+  int e[64];
+  Recode(a, e);
+  Ge h = kIdentity;
+  for (int i = 63; i >= 0; --i) {
+    h = AddCached(Times16(h), Select(table, e[i]));
   }
+  return h;
 }
 
-int Verify32(const uint8_t* x, const uint8_t* y) {
-  uint32_t d = 0;
-  for (int i = 0; i < 32; ++i) d |= x[i] ^ y[i];
-  return (1 & ((d - 1) >> 8)) - 1;  // 0 if equal, -1 otherwise
-}
-
-int Neq25519(const Gf a, const Gf b) {
-  uint8_t c[32], d[32];
-  Pack25519(c, a);
-  Pack25519(d, b);
-  return Verify32(c, d);
-}
-
-uint8_t Par25519(const Gf a) {
-  uint8_t d[32];
-  Pack25519(d, a);
-  return d[0] & 1;
-}
-
-void Unpack25519(Gf o, const uint8_t* n) {
-  for (int i = 0; i < 16; ++i) {
-    o[i] = n[2 * i] + (static_cast<i64>(n[2 * i + 1]) << 8);
-  }
-  o[15] &= 0x7fff;
-}
-
-void Add(Gf o, const Gf a, const Gf b) {
-  for (int i = 0; i < 16; ++i) o[i] = a[i] + b[i];
-}
-
-void Sub(Gf o, const Gf a, const Gf b) {
-  for (int i = 0; i < 16; ++i) o[i] = a[i] - b[i];
-}
-
-void Mul(Gf o, const Gf a, const Gf b) {
-  i64 t[31];
-  for (int i = 0; i < 31; ++i) t[i] = 0;
-  for (int i = 0; i < 16; ++i) {
-    for (int j = 0; j < 16; ++j) t[i + j] += a[i] * b[j];
-  }
-  for (int i = 0; i < 15; ++i) t[i] += 38 * t[i + 16];
-  for (int i = 0; i < 16; ++i) o[i] = t[i];
-  Car25519(o);
-  Car25519(o);
-}
-
-void Sqr(Gf o, const Gf a) { Mul(o, a, a); }
-
-void Inv25519(Gf o, const Gf in) {
-  Gf c;
-  Set25519(c, in);
-  for (int a = 253; a >= 0; --a) {
-    Sqr(c, c);
-    if (a != 2 && a != 4) Mul(c, c, in);
-  }
-  Set25519(o, c);
-}
-
-void Pow2523(Gf o, const Gf in) {
-  Gf c;
-  Set25519(c, in);
-  for (int a = 250; a >= 0; --a) {
-    Sqr(c, c);
-    if (a != 1) Mul(c, c, in);
-  }
-  Set25519(o, c);
-}
-
-// ---- Edwards curve point ops (extended coordinates p = [X,Y,Z,T]) ----
-
-void PointAdd(Gf p[4], Gf q[4]) {
-  Gf a, b, c, d, t, e, f, g, h;
-  Sub(a, p[1], p[0]);
-  Sub(t, q[1], q[0]);
-  Mul(a, a, t);
-  Add(b, p[0], p[1]);
-  Add(t, q[0], q[1]);
-  Mul(b, b, t);
-  Mul(c, p[3], q[3]);
-  Mul(c, c, kD2);
-  Mul(d, p[2], q[2]);
-  Add(d, d, d);
-  Sub(e, b, a);
-  Sub(f, d, c);
-  Add(g, d, c);
-  Add(h, b, a);
-  Mul(p[0], e, f);
-  Mul(p[1], h, g);
-  Mul(p[2], g, f);
-  Mul(p[3], e, h);
-}
-
-void CSwap(Gf p[4], Gf q[4], uint8_t b) {
-  for (int i = 0; i < 4; ++i) Sel25519(p[i], q[i], b);
-}
-
-void Pack(uint8_t* r, Gf p[4]) {
-  Gf tx, ty, zi;
-  Inv25519(zi, p[2]);
-  Mul(tx, p[0], zi);
-  Mul(ty, p[1], zi);
-  Pack25519(r, ty);
-  r[31] ^= static_cast<uint8_t>(Par25519(tx) << 7);
-}
-
-void ScalarMult(Gf p[4], Gf q[4], const uint8_t* s) {
-  Set25519(p[0], kGf0);
-  Set25519(p[1], kGf1);
-  Set25519(p[2], kGf1);
-  Set25519(p[3], kGf0);
-  for (int i = 255; i >= 0; --i) {
-    uint8_t b = (s[i / 8] >> (i & 7)) & 1;
-    CSwap(p, q, b);
-    PointAdd(q, p);
-    PointAdd(p, p);
-    CSwap(p, q, b);
-  }
-}
-
-void ScalarBase(Gf p[4], const uint8_t* s) {
-  Gf q[4];
-  Set25519(q[0], kX);
-  Set25519(q[1], kY);
-  Set25519(q[2], kGf1);
-  Mul(q[3], kX, kY);
-  ScalarMult(p, q, s);
+/// Decompresses a public key to -A (the negated point verification
+/// needs). Returns false if the encoding is not on the curve.
+bool DecompressNeg(Ge& r, const uint8_t p[32]) {
+  r.Y = FromBytes(p);
+  r.Z = kOne;
+  Fe y2 = Sq(r.Y);
+  Fe u = Sub(y2, kOne);          // y^2 - 1
+  Fe v = Add(Mul(y2, kD), kOne);  // d·y^2 + 1
+  Fe v3 = Mul(Sq(v), v);
+  // x = u·v^3 · (u·v^7)^((p - 5) / 8)
+  Fe x = Mul(Mul(u, v3), Pow22523(Mul(u, Mul(Sq(v3), v))));
+  Fe check = Mul(Sq(x), v);
+  if (!Equal(check, u)) x = Mul(x, kSqrtM1);
+  if (!Equal(Mul(Sq(x), v), u)) return false;
+  if (IsNegative(x) == ((p[31] >> 7) != 0)) x = Neg(x);
+  r.X = x;
+  r.T = Mul(r.X, r.Y);
+  return true;
 }
 
 // ---- Scalar arithmetic mod the group order L ----
+
+using i64 = int64_t;
 
 const uint64_t kL[32] = {0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58,
                          0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9, 0xde, 0x14,
@@ -237,41 +441,26 @@ void ModL(uint8_t* r, i64 x[64]) {
   }
 }
 
-void Reduce(uint8_t* r) {
+/// Reduces a 64-byte little-endian value mod L into its first 32 bytes.
+void ReduceModL(uint8_t* r) {
   i64 x[64];
   for (int i = 0; i < 64; ++i) x[i] = r[i];
   for (int i = 0; i < 64; ++i) r[i] = 0;
   ModL(r, x);
 }
 
-// Decompresses (and negates) a public key point for verification.
-int UnpackNeg(Gf r[4], const uint8_t p[32]) {
-  Gf t, chk, num, den, den2, den4, den6;
-  Set25519(r[2], kGf1);
-  Unpack25519(r[1], p);
-  Sqr(num, r[1]);
-  Mul(den, num, kD);
-  Sub(num, num, r[2]);
-  Add(den, r[2], den);
-  Sqr(den2, den);
-  Sqr(den4, den2);
-  Mul(den6, den4, den2);
-  Mul(t, den6, num);
-  Mul(t, t, den);
-  Pow2523(t, t);
-  Mul(t, t, num);
-  Mul(t, t, den);
-  Mul(t, t, den);
-  Mul(r[0], t, den);
-  Sqr(chk, r[0]);
-  Mul(chk, chk, den);
-  if (Neq25519(chk, num)) Mul(r[0], r[0], kI);
-  Sqr(chk, r[0]);
-  Mul(chk, chk, den);
-  if (Neq25519(chk, num)) return -1;
-  if (Par25519(r[0]) == (p[31] >> 7)) Sub(r[0], kGf0, r[0]);
-  Mul(r[3], r[0], r[1]);
-  return 0;
+/// S < L, the canonical range RFC 8032 §5.1.7 requires of a signature.
+bool IsCanonicalScalar(const uint8_t s[32]) {
+  for (int i = 31; i >= 0; --i) {
+    if (s[i] != kL[i]) return s[i] < kL[i];
+  }
+  return false;  // S == L
+}
+
+void Clamp(uint8_t a[32]) {
+  a[0] &= 248;
+  a[31] &= 127;
+  a[31] |= 64;
 }
 
 Bytes HashConcat(const uint8_t* a, size_t alen, const Bytes& b) {
@@ -288,14 +477,10 @@ Result<Ed25519KeyPair> Ed25519KeyPairFromSeed(const Bytes& seed) {
     return Status::InvalidArgument("Ed25519 seed must be 32 bytes");
   }
   Bytes d = Sha512::Hash(seed);
-  d[0] &= 248;
-  d[31] &= 127;
-  d[31] |= 64;
+  Clamp(d.data());
 
-  Gf p[4];
-  ScalarBase(p, d.data());
   Bytes pk(32);
-  Pack(pk.data(), p);
+  Pack(pk.data(), ScalarMultBase(d.data()));
 
   Ed25519KeyPair kp;
   kp.public_key = pk;
@@ -309,18 +494,14 @@ Result<Bytes> Ed25519Sign(const Bytes& private_key, const Bytes& message) {
     return Status::InvalidArgument("Ed25519 private key must be 64 bytes");
   }
   Bytes d = Sha512::Hash(Bytes(private_key.begin(), private_key.begin() + 32));
-  d[0] &= 248;
-  d[31] &= 127;
-  d[31] |= 64;
+  Clamp(d.data());
 
   // r = H(prefix || message) mod L
   Bytes r = HashConcat(d.data() + 32, 32, message);
-  Reduce(r.data());
+  ReduceModL(r.data());
 
-  Gf p[4];
-  ScalarBase(p, r.data());
   Bytes sig(64);
-  Pack(sig.data(), p);
+  Pack(sig.data(), ScalarMultBase(r.data()));
 
   // h = H(R || A || message) mod L
   Sha512 hh;
@@ -328,7 +509,7 @@ Result<Bytes> Ed25519Sign(const Bytes& private_key, const Bytes& message) {
   hh.Update(private_key.data() + 32, 32);
   hh.Update(message);
   Bytes h = hh.Final();
-  Reduce(h.data());
+  ReduceModL(h.data());
 
   // S = r + h * a mod L
   i64 x[64];
@@ -346,88 +527,77 @@ Result<Bytes> Ed25519Sign(const Bytes& private_key, const Bytes& message) {
 bool Ed25519Verify(const Bytes& public_key, const Bytes& message,
                    const Bytes& signature) {
   if (public_key.size() != 32 || signature.size() != 64) return false;
+  // A signature with S + L in place of S would verify too (malleability).
+  if (!IsCanonicalScalar(signature.data() + 32)) return false;
 
-  Gf q[4];
-  if (UnpackNeg(q, public_key.data()) != 0) return false;
+  Ge neg_a;
+  if (!DecompressNeg(neg_a, public_key.data())) return false;
 
   Sha512 hh;
   hh.Update(signature.data(), 32);
   hh.Update(public_key);
   hh.Update(message);
   Bytes h = hh.Final();
-  Reduce(h.data());
+  ReduceModL(h.data());
 
-  Gf p[4];
-  ScalarMult(p, q, h.data());
-
-  Gf b[4];
-  ScalarBase(b, signature.data() + 32);
-  PointAdd(p, b);
-
+  // R' = [S]B - [h]A must encode to R.
+  Ge p = AddCached(ScalarMult(neg_a, h.data()),
+                   ToCached(ScalarMultBase(signature.data() + 32)));
   uint8_t t[32];
   Pack(t, p);
-  return Verify32(signature.data(), t) == 0;
+  return ConstantTimeEqual(Bytes(t, t + 32),
+                           Bytes(signature.begin(), signature.begin() + 32));
 }
 
 Result<Bytes> X25519(const Bytes& scalar, const Bytes& point) {
   if (scalar.size() != 32 || point.size() != 32) {
     return Status::InvalidArgument("X25519 inputs must be 32 bytes");
   }
-  uint8_t z[32];
-  std::memcpy(z, scalar.data(), 32);
-  z[31] = (scalar[31] & 127) | 64;
-  z[0] &= 248;
+  uint8_t k[32];
+  std::memcpy(k, scalar.data(), 32);
+  Clamp(k);
 
-  i64 x[80];
-  Gf a, b, c, d, e, f;
-  Unpack25519(x, point.data());
-  for (int i = 0; i < 16; ++i) {
-    b[i] = x[i];
-    d[i] = a[i] = c[i] = 0;
+  // RFC 7748 §5 Montgomery ladder, a24 = 121665.
+  const Fe x1 = FromBytes(point.data());
+  Fe x2 = kOne, z2 = kZero, x3 = x1, z3 = kOne;
+  uint64_t swap = 0;
+  for (int t = 254; t >= 0; --t) {
+    const uint64_t bit = (k[t >> 3] >> (t & 7)) & 1;
+    swap ^= bit;
+    CSwap(x2, x3, swap);
+    CSwap(z2, z3, swap);
+    swap = bit;
+    Fe a = Add(x2, z2), aa = Sq(a);
+    Fe b = Sub(x2, z2), bb = Sq(b);
+    Fe e = Sub(aa, bb);
+    Fe c = Add(x3, z3), d = Sub(x3, z3);
+    Fe da = Mul(d, a), cb = Mul(c, b);
+    x3 = Sq(Add(da, cb));
+    z3 = Mul(x1, Sq(Sub(da, cb)));
+    x2 = Mul(aa, bb);
+    z2 = Mul(e, Add(aa, MulSmall(e, 121665)));
   }
-  a[0] = d[0] = 1;
-  for (int i = 254; i >= 0; --i) {
-    int r = (z[i >> 3] >> (i & 7)) & 1;
-    Sel25519(a, b, r);
-    Sel25519(c, d, r);
-    Add(e, a, c);
-    Sub(a, a, c);
-    Add(c, b, d);
-    Sub(b, b, d);
-    Sqr(d, e);
-    Sqr(f, a);
-    Mul(a, c, a);
-    Mul(c, b, e);
-    Add(e, a, c);
-    Sub(a, a, c);
-    Sqr(b, a);
-    Sub(c, d, f);
-    Mul(a, c, k121665);
-    Add(a, a, d);
-    Mul(c, c, a);
-    Mul(a, d, f);
-    Mul(d, b, x);
-    Sqr(b, e);
-    Sel25519(a, b, r);
-    Sel25519(c, d, r);
-  }
-  for (int i = 0; i < 16; ++i) {
-    x[i + 16] = a[i];
-    x[i + 32] = c[i];
-    x[i + 48] = b[i];
-    x[i + 64] = d[i];
-  }
-  Inv25519(x + 32, x + 32);
-  Mul(x + 16, x + 16, x + 32);
+  CSwap(x2, x3, swap);
+  CSwap(z2, z3, swap);
+
   Bytes out(32);
-  Pack25519(out.data(), x + 16);
+  ToBytes(out.data(), Mul(x2, Invert(z2)));
   return out;
 }
 
 Result<Bytes> X25519Base(const Bytes& scalar) {
-  Bytes base(32, 0);
-  base[0] = 9;
-  return X25519(scalar, base);
+  if (scalar.size() != 32) {
+    return Status::InvalidArgument("X25519 inputs must be 32 bytes");
+  }
+  uint8_t k[32];
+  std::memcpy(k, scalar.data(), 32);
+  Clamp(k);
+  // [k]B on the Edwards curve through the fixed-base table, mapped to the
+  // Montgomery u = (1 + y) / (1 - y) = (Z + Y) / (Z - Y) of u = 9.
+  Ge p = ScalarMultBase(k);
+  Bytes out(32);
+  ToBytes(out.data(), Mul(Add(p.Z, p.Y), Invert(Sub(p.Z, p.Y))));
+  return out;
 }
 
 }  // namespace ironsafe::crypto

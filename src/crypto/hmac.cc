@@ -1,5 +1,8 @@
 #include "crypto/hmac.h"
 
+#include <algorithm>
+
+#include "crypto/internal.h"
 #include "crypto/sha256.h"
 #include "crypto/sha512.h"
 
@@ -7,38 +10,53 @@ namespace ironsafe::crypto {
 
 namespace {
 
+/// HMAC over copies of `fresh`, a newly constructed hasher, so the
+/// SHA-256 path `fresh` was built on carries through.
 template <typename Hash>
-Bytes HmacImpl(const Bytes& key, const Bytes& message) {
+Bytes HmacWith(const Hash& fresh, const Bytes& key, const Bytes& message) {
   constexpr size_t kBlock = Hash::kBlockSize;
-  Bytes k = key;
-  if (k.size() > kBlock) k = Hash::Hash(k);
-  k.resize(kBlock, 0);
-
-  Bytes ipad(kBlock), opad(kBlock);
+  uint8_t ipad[kBlock] = {}, opad[kBlock] = {};
+  if (key.size() > kBlock) {
+    Hash h = fresh;
+    h.Update(key);
+    Bytes digest = h.Final();
+    std::copy(digest.begin(), digest.end(), ipad);
+  } else {
+    std::copy(key.begin(), key.end(), ipad);
+  }
   for (size_t i = 0; i < kBlock; ++i) {
-    ipad[i] = k[i] ^ 0x36;
-    opad[i] = k[i] ^ 0x5c;
+    opad[i] = ipad[i] ^ 0x5c;
+    ipad[i] ^= 0x36;
   }
 
-  Hash inner;
-  inner.Update(ipad);
+  Hash inner = fresh;
+  inner.Update(ipad, kBlock);
   inner.Update(message);
   Bytes inner_digest = inner.Final();
 
-  Hash outer;
-  outer.Update(opad);
+  Hash outer = fresh;
+  outer.Update(opad, kBlock);
   outer.Update(inner_digest);
   return outer.Final();
 }
 
+internal::Sha256Path DefaultSha256Path() {
+  return {internal::CpuHasShaNi()};
+}
+
 }  // namespace
 
+Bytes internal::Sha256Path::Hmac(const Bytes& key,
+                                 const Bytes& message) const {
+  return HmacWith(New(), key, message);
+}
+
 Bytes HmacSha256(const Bytes& key, const Bytes& message) {
-  return HmacImpl<Sha256>(key, message);
+  return DefaultSha256Path().Hmac(key, message);
 }
 
 Bytes HmacSha512(const Bytes& key, const Bytes& message) {
-  return HmacImpl<Sha512>(key, message);
+  return HmacWith(Sha512(), key, message);
 }
 
 bool VerifyHmacSha256(const Bytes& key, const Bytes& message,
@@ -53,9 +71,13 @@ bool VerifyHmacSha512(const Bytes& key, const Bytes& message,
 
 Bytes HkdfSha256(const Bytes& salt, const Bytes& ikm, const Bytes& info,
                  size_t length) {
+  return DefaultSha256Path().Hkdf(salt, ikm, info, length);
+}
+
+Bytes internal::Sha256Path::Hkdf(const Bytes& salt, const Bytes& ikm,
+                                 const Bytes& info, size_t length) const {
   // Extract.
-  Bytes prk = HmacSha256(salt.empty() ? Bytes(Sha256::kDigestSize, 0) : salt,
-                         ikm);
+  Bytes prk = Hmac(salt.empty() ? Bytes(Sha256::kDigestSize, 0) : salt, ikm);
   // Expand.
   Bytes okm;
   Bytes t;
@@ -64,7 +86,7 @@ Bytes HkdfSha256(const Bytes& salt, const Bytes& ikm, const Bytes& info,
     Bytes block = t;
     Append(&block, info);
     block.push_back(counter++);
-    t = HmacSha256(prk, block);
+    t = Hmac(prk, block);
     Append(&okm, t);
   }
   okm.resize(length);

@@ -2,6 +2,12 @@
 
 #include <cstring>
 
+#include "crypto/internal.h"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace ironsafe::crypto {
 
 namespace {
@@ -21,9 +27,144 @@ constexpr uint32_t kK[64] = {
 
 uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+/// Portable compression: the only path without SHA-NI and the reference
+/// the SHA-NI path is tested against.
+void CompressPortable(uint32_t state[8], const uint8_t* data, size_t blocks) {
+  for (; blocks > 0; --blocks, data += Sha256::kBlockSize) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = static_cast<uint32_t>(data[i * 4]) << 24 |
+             static_cast<uint32_t>(data[i * 4 + 1]) << 16 |
+             static_cast<uint32_t>(data[i * 4 + 2]) << 8 |
+             static_cast<uint32_t>(data[i * 4 + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      uint32_t ch = (e & f) ^ (~e & g);
+      uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+      uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if defined(__x86_64__)
+
+/// SHA-NI compression. The state lives in two registers as ABEF / CDGH;
+/// each SHA256RNDS2 does two rounds, and SHA256MSG1/MSG2 extend the
+/// message schedule four words at a time, rotating through m[0..3].
+__attribute__((target("sha,sse4.1"))) void CompressShaNi(uint32_t state[8],
+                                                         const uint8_t* data,
+                                                         size_t blocks) {
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i state1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);              // CDAB
+  state1 = _mm_shuffle_epi32(state1, 0x1B);        // EFGH
+  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);  // ABEF
+  state1 = _mm_blend_epi16(state1, tmp, 0xF0);     // CDGH
+
+  for (; blocks > 0; --blocks, data += Sha256::kBlockSize) {
+    const __m128i abef = state0;
+    const __m128i cdgh = state1;
+    __m128i m[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      if (g < 4) {
+        m[g] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)),
+            kByteSwap);
+      }
+      __m128i msg = _mm_add_epi32(
+          m[g % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * g)));
+      state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
+      if (g >= 3 && g <= 14) {
+        __m128i& next = m[(g + 1) % 4];
+        next = _mm_add_epi32(next, _mm_alignr_epi8(m[g % 4], m[(g + 3) % 4], 4));
+        next = _mm_sha256msg2_epu32(next, m[g % 4]);
+      }
+      state0 = _mm_sha256rnds2_epu32(state0, state1, _mm_shuffle_epi32(msg, 0x0E));
+      if (g >= 1 && g <= 12) {
+        m[(g + 3) % 4] = _mm_sha256msg1_epu32(m[(g + 3) % 4], m[g % 4]);
+      }
+    }
+    state0 = _mm_add_epi32(state0, abef);
+    state1 = _mm_add_epi32(state1, cdgh);
+  }
+
+  tmp = _mm_shuffle_epi32(state0, 0x1B);           // FEBA
+  state1 = _mm_shuffle_epi32(state1, 0xB1);        // DCHG
+  state0 = _mm_blend_epi16(tmp, state1, 0xF0);     // DCBA
+  state1 = _mm_alignr_epi8(state1, tmp, 8);        // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), state0);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), state1);
+}
+
+bool DetectShaNi() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+}
+
+#else  // !defined(__x86_64__)
+
+// No SHA-NI off x86-64: DetectShaNi() is false, so this never runs.
+bool DetectShaNi() { return false; }
+void CompressShaNi(uint32_t state[8], const uint8_t* data, size_t blocks) {
+  CompressPortable(state, data, blocks);
+}
+
+#endif  // defined(__x86_64__)
+
 }  // namespace
 
-Sha256::Sha256() { Reset(); }
+namespace internal {
+
+bool CpuHasShaNi() {
+  static const bool has = DetectShaNi();
+  return has;
+}
+
+Sha256 Sha256Path::New() const { return Sha256(accelerated); }
+
+Bytes Sha256Path::Hash(const Bytes& data) const {
+  Sha256 h = New();
+  h.Update(data);
+  return h.Final();
+}
+
+}  // namespace internal
+
+Sha256::Sha256() : Sha256(internal::CpuHasShaNi()) {}
+
+Sha256::Sha256(bool accelerated) : accelerated_(accelerated) { Reset(); }
 
 void Sha256::Reset() {
   state_[0] = 0x6a09e667;
@@ -38,51 +179,17 @@ void Sha256::Reset() {
   buffer_len_ = 0;
 }
 
-void Sha256::ProcessBlock(const uint8_t* block) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = static_cast<uint32_t>(block[i * 4]) << 24 |
-           static_cast<uint32_t>(block[i * 4 + 1]) << 16 |
-           static_cast<uint32_t>(block[i * 4 + 2]) << 8 |
-           static_cast<uint32_t>(block[i * 4 + 3]);
+void Sha256::Compress(const uint8_t* data, size_t blocks) {
+  if (accelerated_) {
+    CompressShaNi(state_, data, blocks);
+  } else {
+    CompressPortable(state_, data, blocks);
   }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 void Sha256::Update(const uint8_t* data, size_t len) {
+  // An empty Bytes has a null data(), which memcpy must not see.
+  if (len == 0) return;
   total_len_ += len;
   if (buffer_len_ > 0) {
     size_t take = std::min(len, kBlockSize - buffer_len_);
@@ -91,14 +198,14 @@ void Sha256::Update(const uint8_t* data, size_t len) {
     data += take;
     len -= take;
     if (buffer_len_ == kBlockSize) {
-      ProcessBlock(buffer_);
+      Compress(buffer_, 1);
       buffer_len_ = 0;
     }
   }
-  while (len >= kBlockSize) {
-    ProcessBlock(data);
-    data += kBlockSize;
-    len -= kBlockSize;
+  if (len >= kBlockSize) {
+    Compress(data, len / kBlockSize);
+    data += len - len % kBlockSize;
+    len %= kBlockSize;
   }
   if (len > 0) {
     std::memcpy(buffer_, data, len);

@@ -8,7 +8,12 @@
 
 namespace ironsafe::crypto {
 
-/// Incremental SHA-256 (FIPS 180-4).
+namespace internal {
+struct Sha256Path;  // crypto/internal.h
+}
+
+/// Incremental SHA-256 (FIPS 180-4). Compresses with the SHA extensions
+/// when the CPU has them, otherwise with the portable code.
 class Sha256 {
  public:
   static constexpr size_t kDigestSize = 32;
@@ -33,8 +38,11 @@ class Sha256 {
   static Bytes Hash(std::string_view data);
 
  private:
-  void ProcessBlock(const uint8_t* block);
+  friend struct internal::Sha256Path;
+  explicit Sha256(bool accelerated);
+  void Compress(const uint8_t* data, size_t blocks);
 
+  bool accelerated_;
   uint32_t state_[8];
   uint64_t total_len_ = 0;
   uint8_t buffer_[kBlockSize];

@@ -37,6 +37,32 @@ constexpr uint64_t kK[80] = {
 
 uint64_t Rotr(uint64_t x, int n) { return (x >> n) | (x << (64 - n)); }
 
+uint64_t LoadBe64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
+  return v;
+}
+
+/// One round. The caller rotates the roles of a..h instead of moving
+/// eight words per round: only d and h change.
+inline void Round(uint64_t a, uint64_t b, uint64_t c, uint64_t& d, uint64_t e,
+                  uint64_t f, uint64_t g, uint64_t& h, uint64_t kw) {
+  uint64_t t1 = h + (Rotr(e, 14) ^ Rotr(e, 18) ^ Rotr(e, 41)) +
+                (g ^ (e & (f ^ g))) + kw;
+  uint64_t t2 = (Rotr(a, 28) ^ Rotr(a, 34) ^ Rotr(a, 39)) +
+                ((a & b) | (c & (a | b)));
+  d += t1;
+  h = t1 + t2;
+}
+
+/// Message word i >= 16, computed in place in the 16-word window.
+inline uint64_t Schedule(uint64_t w[16], int i) {
+  uint64_t w15 = w[(i - 15) & 15], w2 = w[(i - 2) & 15];
+  uint64_t s0 = Rotr(w15, 1) ^ Rotr(w15, 8) ^ (w15 >> 7);
+  uint64_t s1 = Rotr(w2, 19) ^ Rotr(w2, 61) ^ (w2 >> 6);
+  return w[i & 15] += s0 + w[(i - 7) & 15] + s1;
+}
+
 }  // namespace
 
 Sha512::Sha512() { Reset(); }
@@ -54,50 +80,48 @@ void Sha512::Reset() {
   buffer_len_ = 0;
 }
 
-void Sha512::ProcessBlock(const uint8_t* block) {
-  uint64_t w[80];
-  for (int i = 0; i < 16; ++i) {
-    uint64_t v = 0;
-    for (int j = 0; j < 8; ++j) v = (v << 8) | block[i * 8 + j];
-    w[i] = v;
-  }
-  for (int i = 16; i < 80; ++i) {
-    uint64_t s0 = Rotr(w[i - 15], 1) ^ Rotr(w[i - 15], 8) ^ (w[i - 15] >> 7);
-    uint64_t s1 = Rotr(w[i - 2], 19) ^ Rotr(w[i - 2], 61) ^ (w[i - 2] >> 6);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
+void Sha512::Compress(const uint8_t* data, size_t blocks) {
+  for (; blocks > 0; --blocks, data += kBlockSize) {
+    uint64_t w[16];
+    for (int i = 0; i < 16; ++i) w[i] = LoadBe64(data + 8 * i);
 
-  uint64_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint64_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+    uint64_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
+    uint64_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+    for (int i = 0; i < 16; i += 8) {
+      Round(a, b, c, d, e, f, g, h, kK[i] + w[i]);
+      Round(h, a, b, c, d, e, f, g, kK[i + 1] + w[i + 1]);
+      Round(g, h, a, b, c, d, e, f, kK[i + 2] + w[i + 2]);
+      Round(f, g, h, a, b, c, d, e, kK[i + 3] + w[i + 3]);
+      Round(e, f, g, h, a, b, c, d, kK[i + 4] + w[i + 4]);
+      Round(d, e, f, g, h, a, b, c, kK[i + 5] + w[i + 5]);
+      Round(c, d, e, f, g, h, a, b, kK[i + 6] + w[i + 6]);
+      Round(b, c, d, e, f, g, h, a, kK[i + 7] + w[i + 7]);
+    }
+    for (int i = 16; i < 80; i += 8) {
+      Round(a, b, c, d, e, f, g, h, kK[i] + Schedule(w, i));
+      Round(h, a, b, c, d, e, f, g, kK[i + 1] + Schedule(w, i + 1));
+      Round(g, h, a, b, c, d, e, f, kK[i + 2] + Schedule(w, i + 2));
+      Round(f, g, h, a, b, c, d, e, kK[i + 3] + Schedule(w, i + 3));
+      Round(e, f, g, h, a, b, c, d, kK[i + 4] + Schedule(w, i + 4));
+      Round(d, e, f, g, h, a, b, c, kK[i + 5] + Schedule(w, i + 5));
+      Round(c, d, e, f, g, h, a, b, kK[i + 6] + Schedule(w, i + 6));
+      Round(b, c, d, e, f, g, h, a, kK[i + 7] + Schedule(w, i + 7));
+    }
 
-  for (int i = 0; i < 80; ++i) {
-    uint64_t s1 = Rotr(e, 14) ^ Rotr(e, 18) ^ Rotr(e, 41);
-    uint64_t ch = (e & f) ^ (~e & g);
-    uint64_t temp1 = h + s1 + ch + kK[i] + w[i];
-    uint64_t s0 = Rotr(a, 28) ^ Rotr(a, 34) ^ Rotr(a, 39);
-    uint64_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint64_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
+    state_[0] += a;
+    state_[1] += b;
+    state_[2] += c;
+    state_[3] += d;
+    state_[4] += e;
+    state_[5] += f;
+    state_[6] += g;
+    state_[7] += h;
   }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 void Sha512::Update(const uint8_t* data, size_t len) {
+  // An empty Bytes has a null data(), which memcpy must not see.
+  if (len == 0) return;
   total_len_ += len;
   if (buffer_len_ > 0) {
     size_t take = std::min(len, kBlockSize - buffer_len_);
@@ -106,14 +130,14 @@ void Sha512::Update(const uint8_t* data, size_t len) {
     data += take;
     len -= take;
     if (buffer_len_ == kBlockSize) {
-      ProcessBlock(buffer_);
+      Compress(buffer_, 1);
       buffer_len_ = 0;
     }
   }
-  while (len >= kBlockSize) {
-    ProcessBlock(data);
-    data += kBlockSize;
-    len -= kBlockSize;
+  if (len >= kBlockSize) {
+    Compress(data, len / kBlockSize);
+    data += len - len % kBlockSize;
+    len %= kBlockSize;
   }
   if (len > 0) {
     std::memcpy(buffer_, data, len);

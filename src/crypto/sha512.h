@@ -30,7 +30,7 @@ class Sha512 {
   static Bytes Hash(std::string_view data);
 
  private:
-  void ProcessBlock(const uint8_t* block);
+  void Compress(const uint8_t* data, size_t blocks);
 
   uint64_t state_[8];
   uint64_t total_len_ = 0;  // bytes; enough for simulation-scale inputs

@@ -136,6 +136,15 @@ Result<std::unique_ptr<SecureChannel>> Handshake::Finish(const Hello& peer,
   }
   ASSIGN_OR_RETURN(Bytes shared,
                    crypto::X25519(ephemeral_private_, peer.ephemeral_public));
+  // RFC 7748 §6.1: a low-order peer key (32 zero bytes, for one) forces
+  // an all-zero secret, and the keys would then depend only on the public
+  // transcript.
+  uint8_t any_bit = 0;
+  for (uint8_t byte : shared) any_bit |= byte;
+  if (any_bit == 0) {
+    return Status::InvalidArgument(
+        "peer ephemeral key is low-order: X25519 shared secret is all zeros");
+  }
   // Transcript binds both public keys in a canonical order.
   Bytes transcript;
   const Bytes& a = is_initiator ? ephemeral_public_ : peer.ephemeral_public;

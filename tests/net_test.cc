@@ -156,6 +156,19 @@ TEST(HandshakeTest, FinishBeforeStartFails) {
   EXPECT_FALSE(h.Finish(hello, true).ok());
 }
 
+TEST(HandshakeTest, LowOrderPeerKeyBuildsNoChannel) {
+  crypto::Drbg d(ToBytes("x"));
+  Handshake h(&d);
+  ASSERT_TRUE(h.Start().ok());
+  // u = 0 and u = 1 are low-order points: X25519 with them is all zeros.
+  for (int u : {0, 1}) {
+    Bytes key(32, 0);
+    key[0] = static_cast<uint8_t>(u);
+    auto channel = h.Finish(Handshake::Hello{key}, true);
+    EXPECT_TRUE(channel.status().IsInvalidArgument()) << "u=" << u;
+  }
+}
+
 TEST(WireTest, ResultRoundTrip) {
   sql::QueryResult result;
   result.schema.AddColumn(sql::Column{"id", sql::Type::kInt64});
