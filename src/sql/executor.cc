@@ -1,15 +1,9 @@
 #include "sql/executor.h"
 
-#include <algorithm>
-#include <cmath>
-#include <functional>
+#include <iterator>
 #include <map>
-#include <optional>
-#include <set>
 #include <unordered_map>
 
-#include "common/thread_pool.h"
-#include "obs/trace.h"
 #include "sql/database.h"
 #include "sql/exec_internal.h"
 
@@ -24,447 +18,260 @@ struct RelData {
   std::vector<Row> rows;
 };
 
-size_t RelBytes(const RelData& rel) {
-  size_t total = 0;
-  for (const Row& r : rel.rows) total += RowBytes(r);
-  return total;
-}
+/// The row-at-a-time volcano engine's operators for RunSelect: every
+/// intermediate is a vector of boxed rows and every expression is
+/// evaluated per row.
+struct RowEngine {
+  using Rel = RelData;
+  using Projected = Projection;
+  using Out = QueryResult;
+  static constexpr std::string_view kEquiJoinKind = "hash";
 
-/// Private result of one scan worker; merged into the query state in
-/// worker order after the pool drains.
-struct ScanSlice {
-  std::vector<Row> rows;
-  uint64_t rows_scanned = 0;
-  uint64_t cycles = 0;
-  std::optional<sim::CostModel> cost;
-  Status status = Status::OK();
-  uint64_t unit_begin = 0;
-  uint64_t unit_end = 0;
-  int64_t wall_start_us = 0;
-  int64_t wall_end_us = 0;
+  static uint64_t Rows(const RelData& rel) { return rel.rows.size(); }
+  static Result<RelData> Derived(Ctx* ctx, const SelectStmt& subquery);
+  static Status Scan(Ctx* ctx, Table* table,
+                     const std::vector<const Expr*>& filters, RelData* rel);
+  static Result<RelData> Join(Ctx* ctx, RelData left, RelData right,
+                              const JoinPredicates& preds);
+  static Status Filter(Ctx* ctx, RelData* rel,
+                       const std::vector<const Expr*>& residual);
+  static Result<RelData> Aggregate(Ctx* ctx, RelData input,
+                                   const OutputPlan& plan);
+  static Status Having(Ctx* ctx, RelData* rel, const Expr& having);
+  static Status Project(Ctx* ctx, const OutputPlan& plan, RelData input,
+                        Projection* out);
+  static constexpr auto Finish = &FinishSelect;
 };
 
-/// Morsel-driven parallel scan of a base table: the table's morsel units
-/// are split into one contiguous range per worker, each worker scans its
-/// range with a private cursor, evaluator and cost slice, and the slices
-/// are merged in range order. Concatenation order equals NewCursor order
-/// and the merged charges equal the serial charges exactly (cycle counts
-/// sum; per-event ns conversion commutes under addition), so results,
-/// ExecStats and simulated cost are bit-identical for any worker count.
+// ---- Scan ----
+
+struct RowSlice : MorselSlice {
+  std::vector<Row> rows;
+};
+
+/// Morsel-parallel scan: each worker reads its unit range with a private
+/// cursor and runner-less evaluator and keeps the rows that pass the
+/// pushed filters. Concatenation order equals NewCursor order.
 Status ScanTableMorsels(Ctx* ctx, Table* table,
                         const std::vector<const Expr*>& filters,
                         RelData* rel) {
-  uint64_t units = table->morsel_units();
-  int workers = PlanWorkers(*ctx, units, kMinScanUnitsPerWorker);
-  std::vector<ScanSlice> slices(workers);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(workers);
   const Schema* schema = &rel->schema;
   const EvalScope* outer = ctx->outer;
-  obs::Tracer* tracer = ctx->traced ? obs::CurrentTracer() : nullptr;
-  for (int w = 0; w < workers; ++w) {
-    uint64_t begin = units * w / workers;
-    uint64_t end = units * (w + 1) / workers;
-    ScanSlice* slice = &slices[w];
-    slice->unit_begin = begin;
-    slice->unit_end = end;
-    if (ctx->cost != nullptr) slice->cost.emplace(ctx->cost->profile());
-    tasks.push_back([table, schema, outer, &filters, begin, end, slice,
-                     tracer] {
-      if (tracer != nullptr) slice->wall_start_us = tracer->WallNowUs();
-      sim::CostModel* wcost = slice->cost ? &*slice->cost : nullptr;
-      auto cursor = table->NewMorselCursor(begin, end, wcost);
-      // Pushed-down filters are subquery-free by construction, so a
-      // runner-less evaluator matches the shared one bit for bit.
-      [&] {
+  return RunMorsels<RowSlice>(
+      ctx, table,
+      [&](RowSlice* slice, sim::CostModel* cost) -> Status {
+        auto cursor =
+            table->NewMorselCursor(slice->unit_begin, slice->unit_end, cost);
+        // Pushed-down filters are subquery-free by construction, so a
+        // runner-less evaluator matches the shared one bit for bit.
         Evaluator eval(nullptr);
         Row row;
         while (true) {
-          Result<bool> more = cursor->Next(&row);
-          if (!more.ok()) {
-            slice->status = more.status();
-            return;
-          }
-          if (!*more) return;
+          ASSIGN_OR_RETURN(bool more, cursor->Next(&row));
+          if (!more) return Status::OK();
           ++slice->rows_scanned;
           slice->cycles += kScanRowCycles;
           EvalScope scope{schema, &row, outer};
           bool keep = true;
           for (const Expr* f : filters) {
             slice->cycles += kFilterCycles;
-            Result<bool> ok = eval.EvalBool(*f, scope);
-            if (!ok.ok()) {
-              slice->status = ok.status();
-              return;
-            }
-            if (!*ok) {
+            ASSIGN_OR_RETURN(bool ok, eval.EvalBool(*f, scope));
+            if (!ok) {
               keep = false;
               break;
             }
           }
           if (keep) slice->rows.push_back(std::move(row));
         }
-      }();
-      if (tracer != nullptr) slice->wall_end_us = tracer->WallNowUs();
-    });
-  }
-
-  // Bracket the scan even single-threaded so page-cache semantics do not
-  // depend on the worker count.
-  table->BeginParallelScan(workers);
-  common::ThreadPool::Shared().RunTasks(tasks);
-  table->EndParallelScan();
-
-  size_t total = rel->rows.size();
-  for (const ScanSlice& s : slices) total += s.rows.size();
-  rel->rows.reserve(total);
-  for (int w = 0; w < workers; ++w) {
-    ScanSlice& s = slices[w];
-    RETURN_IF_ERROR(s.status);
-    if (ctx->stats != nullptr) ctx->stats->rows_scanned += s.rows_scanned;
-    ctx->Charge(s.cycles);
-    if (ctx->cost != nullptr && s.cost.has_value()) {
-      ctx->cost->MergeChild(*s.cost);
-    }
-    if (tracer != nullptr) {
-      // Per-morsel detail lane: the slice's private cost-model elapsed
-      // (page I/O + decrypt + verify) plus the worker's wall window.
-      int64_t id = tracer->AddDetailSpan(
-          "morsel", "sql", s.cost ? s.cost->elapsed_ns() : 0, w,
-          s.wall_start_us, s.wall_end_us);
-      tracer->AddTag(id, "worker", static_cast<int64_t>(w));
-      tracer->AddTag(id, "unit_begin", static_cast<int64_t>(s.unit_begin));
-      tracer->AddTag(id, "unit_end", static_cast<int64_t>(s.unit_end));
-      tracer->AddTag(id, "rows_scanned", static_cast<int64_t>(s.rows_scanned));
-      tracer->AddTag(id, "rows_kept", static_cast<int64_t>(s.rows.size()));
-      tracer->AddTag(id, "cycles", static_cast<int64_t>(s.cycles));
-      if (s.cost.has_value()) {
-        tracer->AddTag(id, "pages_decrypted",
-                       static_cast<int64_t>(s.cost->pages_decrypted()));
-      }
-    }
-    for (Row& r : s.rows) rel->rows.push_back(std::move(r));
-  }
-  return Status::OK();
+      },
+      [&](RowSlice& s, int64_t span) {
+        if (span >= 0) TagMorselKept(span, s, s.rows.size());
+        rel->rows.insert(rel->rows.end(),
+                         std::make_move_iterator(s.rows.begin()),
+                         std::make_move_iterator(s.rows.end()));
+      });
 }
 
-// ---- Scan ----
+Result<RelData> RowEngine::Derived(Ctx* ctx, const SelectStmt& subquery) {
+  ASSIGN_OR_RETURN(QueryResult sub, ExecuteSelect(ctx->db, subquery, ctx->outer,
+                                                  ctx->cost, ctx->opts));
+  return RelData{std::move(sub.schema), std::move(sub.rows)};
+}
 
-Result<RelData> ScanRelation(Ctx* ctx, const TableRef& ref,
-                             std::vector<ConjunctInfo>* conjuncts) {
-  StageSpan span(ctx, "scan");
-  span.Tag("table", ref.subquery ? "derived:" + ref.alias : ref.table_name);
-  ctx->RecordAccess(obs::AccessKind::kScanBegin);
-  RelData rel;
-  std::vector<Row> source_rows;
-  Table* table = nullptr;
-  if (ref.subquery) {
-    // Derived table: execute and re-qualify its output by the alias.
-    ASSIGN_OR_RETURN(QueryResult sub,
-                     ExecuteSelect(ctx->db, *ref.subquery, ctx->outer,
-                                   ctx->cost, ctx->opts));
-    rel.schema = sub.schema.Qualified(ref.alias);
-    source_rows = std::move(sub.rows);
-  } else {
-    ASSIGN_OR_RETURN(Table * t, ctx->db->GetTable(ref.table_name));
-    table = t;
-    rel.schema = table->schema().Qualified(ref.alias);
+Status RowEngine::Scan(Ctx* ctx, Table* table,
+                       const std::vector<const Expr*>& filters, RelData* rel) {
+  if (table != nullptr && table->morsel_units() > 0) {
+    return ScanTableMorsels(ctx, table, filters, rel);
   }
-
-  // Pick pushable single-relation predicates (no subqueries).
-  std::vector<const Expr*> filters;
-  if (conjuncts != nullptr) {
-    for (ConjunctInfo& info : *conjuncts) {
-      if (info.consumed || info.has_subquery) continue;
-      if (!info.columns.empty() && ResolvableBy(info.columns, rel.schema)) {
-        filters.push_back(info.expr);
-        info.consumed = true;
-      }
-    }
-  }
-
-  auto consume = [&](Row& row) -> Result<bool> {
+  auto consume = [&](Row& row) -> Status {
     if (ctx->stats != nullptr) ++ctx->stats->rows_scanned;
     ctx->Charge(kScanRowCycles);
-    EvalScope scope{&rel.schema, &row, ctx->outer};
+    EvalScope scope{&rel->schema, &row, ctx->outer};
     for (const Expr* f : filters) {
       ctx->Charge(kFilterCycles);
       ASSIGN_OR_RETURN(bool ok, ctx->eval->EvalBool(*f, scope));
-      if (!ok) return false;
+      if (!ok) return Status::OK();
     }
-    rel.rows.push_back(std::move(row));
-    return true;
+    rel->rows.push_back(std::move(row));
+    return Status::OK();
   };
-
   if (table != nullptr) {
-    if (table->morsel_units() > 0) {
-      RETURN_IF_ERROR(ScanTableMorsels(ctx, table, filters, &rel));
-    } else {
-      // Empty table or no morsel support: plain serial cursor.
-      auto cursor = table->NewCursor(ctx->cost);
-      Row row;
-      while (true) {
-        ASSIGN_OR_RETURN(bool more, cursor->Next(&row));
-        if (!more) break;
-        RETURN_IF_ERROR(consume(row).status());
-      }
-    }
-  } else {
-    for (Row& row : source_rows) {
-      RETURN_IF_ERROR(consume(row).status());
+    // Empty table or no morsel support: plain serial cursor.
+    auto cursor = table->NewCursor(ctx->cost);
+    Row row;
+    while (true) {
+      ASSIGN_OR_RETURN(bool more, cursor->Next(&row));
+      if (!more) return Status::OK();
+      RETURN_IF_ERROR(consume(row));
     }
   }
-  span.Tag("rows_out", static_cast<int64_t>(rel.rows.size()));
-  // Rows kept after pushdown: the plain engine's first selectivity leak.
-  ctx->RecordAccess(obs::AccessKind::kScanEnd, rel.rows.size());
-  return rel;
+  // Derived table: its rows are the scan's source.
+  std::vector<Row> source = std::move(rel->rows);
+  rel->rows.clear();
+  for (Row& row : source) RETURN_IF_ERROR(consume(row));
+  return Status::OK();
 }
 
 // ---- Join ----
 
-struct EquiKey {
-  const Expr* left_expr;   // resolves against the left schema
-  const Expr* right_expr;  // resolves against the right schema
-};
-
 /// Evaluates the equi-join key expressions for every row of `rel` into a
-/// serialized-key vector, splitting the rows into one contiguous range
-/// per worker. Key expressions are pure column/arithmetic expressions
-/// (subquery conjuncts never become equi-keys), so workers evaluate with
-/// private runner-less evaluators and write to disjoint slots of the
-/// preallocated output; per-row cycles are summed per worker and charged
-/// once, identical to the serial account. Hash-table insertion and
-/// probing stay serial in table order.
-Result<std::vector<Bytes>> ComputeJoinKeys(Ctx* ctx, const RelData& rel,
-                                           const std::vector<const Expr*>& exprs,
-                                           uint64_t per_row_cycles) {
-  struct KeySlice {
-    uint64_t cycles = 0;
-    Status status = Status::OK();
-    size_t lo = 0;
-    size_t hi = 0;
-    int64_t wall_start_us = 0;
-    int64_t wall_end_us = 0;
-  };
-  size_t n = rel.rows.size();
+/// serialized-key vector, one contiguous row range per worker. Hash-table
+/// insertion and probing stay serial in table order.
+Result<std::vector<Bytes>> ComputeJoinKeys(
+    Ctx* ctx, const RelData& rel, const std::vector<const Expr*>& exprs,
+    uint64_t per_row_cycles) {
+  const size_t n = rel.rows.size();
   std::vector<Bytes> out(n);
-  int workers = PlanWorkers(*ctx, n, kMinJoinRowsPerWorker);
-  std::vector<KeySlice> slices(workers);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(workers);
-  const Schema* schema = &rel.schema;
-  const std::vector<Row>* rows = &rel.rows;
   const EvalScope* outer = ctx->outer;
-  obs::Tracer* tracer = ctx->traced ? obs::CurrentTracer() : nullptr;
-  for (int w = 0; w < workers; ++w) {
-    size_t lo = n * w / workers;
-    size_t hi = n * (w + 1) / workers;
-    KeySlice* slice = &slices[w];
-    slice->lo = lo;
-    slice->hi = hi;
-    tasks.push_back([&out, &exprs, rows, schema, outer, lo, hi, slice,
-                     per_row_cycles, tracer] {
-      if (tracer != nullptr) slice->wall_start_us = tracer->WallNowUs();
-      [&] {
-        Evaluator eval(nullptr);
-        std::vector<Value> kv;
-        for (size_t i = lo; i < hi; ++i) {
-          slice->cycles += per_row_cycles;
-          EvalScope scope{schema, &(*rows)[i], outer};
-          kv.clear();
-          kv.reserve(exprs.size());
-          for (const Expr* e : exprs) {
-            Result<Value> v = eval.Eval(*e, scope);
-            if (!v.ok()) {
-              slice->status = v.status();
-              return;
-            }
-            kv.push_back(std::move(*v));
-          }
-          out[i] = KeyOf(kv);
-        }
-      }();
-      if (tracer != nullptr) slice->wall_end_us = tracer->WallNowUs();
-    });
-  }
-  common::ThreadPool::Shared().RunTasks(tasks);
-  for (int w = 0; w < workers; ++w) {
-    const KeySlice& s = slices[w];
-    RETURN_IF_ERROR(s.status);
-    ctx->Charge(s.cycles);
-    if (tracer != nullptr) {
-      // Detail lane: this slice's key-evaluation cycles priced at the
-      // query's simulated fan-out (a scratch model, not a real charge).
-      sim::SimNanos dur = 0;
-      if (ctx->cost != nullptr) {
-        sim::CostModel scratch(ctx->cost->profile());
-        scratch.ChargeParallelCycles(ctx->opts.site, s.cycles,
-                                     ctx->opts.parallelism);
-        dur = scratch.elapsed_ns();
+  auto keys_of = [&](size_t lo, size_t hi, uint64_t* cycles) -> Status {
+    Evaluator eval(nullptr);
+    std::vector<Value> kv;
+    for (size_t i = lo; i < hi; ++i) {
+      *cycles += per_row_cycles;
+      EvalScope scope{&rel.schema, &rel.rows[i], outer};
+      kv.clear();
+      kv.reserve(exprs.size());
+      for (const Expr* e : exprs) {
+        ASSIGN_OR_RETURN(Value v, eval.Eval(*e, scope));
+        kv.push_back(std::move(v));
       }
-      int64_t id = tracer->AddDetailSpan("join-keys", "sql", dur, w,
-                                         s.wall_start_us, s.wall_end_us);
-      tracer->AddTag(id, "worker", static_cast<int64_t>(w));
-      tracer->AddTag(id, "row_begin", static_cast<int64_t>(s.lo));
-      tracer->AddTag(id, "row_end", static_cast<int64_t>(s.hi));
-      tracer->AddTag(id, "cycles", static_cast<int64_t>(s.cycles));
+      out[i] = KeyOf(kv);
+    }
+    return Status::OK();
+  };
+  RETURN_IF_ERROR(RunJoinKeys(ctx, n, n, "row", keys_of));
+  return out;
+}
+
+Result<RelData> RowEngine::Join(Ctx* ctx, RelData left, RelData right,
+                                const JoinPredicates& preds) {
+  RelData out;
+  out.schema = preds.combined;
+
+  auto emit = [&](const Row& l, const Row& r) -> Status {
+    Row joined = l;
+    joined.insert(joined.end(), r.begin(), r.end());
+    EvalScope scope{&out.schema, &joined, ctx->outer};
+    for (const Expr* e : preds.residual) {
+      ctx->Charge(kFilterCycles);
+      ASSIGN_OR_RETURN(bool ok, ctx->eval->EvalBool(*e, scope));
+      if (!ok) return Status::OK();
+    }
+    out.rows.push_back(std::move(joined));
+    return Status::OK();
+  };
+
+  if (preds.keys.empty()) {
+    // Nested-loop (cross product + residual filter).
+    ctx->TrackMemory(TotalRowBytes(right.rows));
+    for (const Row& l : left.rows) {
+      for (const Row& r : right.rows) {
+        ctx->Charge(kJoinProbeCycles);
+        RETURN_IF_ERROR(emit(l, r));
+      }
+    }
+    return out;
+  }
+
+  // Hash join; build on the smaller input (right by default). Key
+  // evaluation — the per-row CPU work — runs morsel-parallel; the
+  // insert/probe/emit passes stay serial in table order (residual
+  // predicates may contain subqueries), preserving output order.
+  bool build_right = TotalRowBytes(right.rows) <= TotalRowBytes(left.rows);
+  const RelData& build = build_right ? right : left;
+  const RelData& probe = build_right ? left : right;
+
+  ASSIGN_OR_RETURN(std::vector<Bytes> build_keys,
+                   ComputeJoinKeys(ctx, build, preds.KeyExprs(!build_right),
+                                   kJoinBuildCycles));
+  std::unordered_map<std::string, std::vector<size_t>> table;
+  table.reserve(build.rows.size());
+  for (size_t i = 0; i < build.rows.size(); ++i) {
+    table[std::string(build_keys[i].begin(), build_keys[i].end())]
+        .push_back(i);
+  }
+  ctx->TrackMemory(TotalRowBytes(build.rows));
+
+  ASSIGN_OR_RETURN(std::vector<Bytes> probe_keys,
+                   ComputeJoinKeys(ctx, probe, preds.KeyExprs(build_right),
+                                   kJoinProbeCycles));
+  for (size_t pi = 0; pi < probe.rows.size(); ++pi) {
+    const Row& prow = probe.rows[pi];
+    auto it = table.find(
+        std::string(probe_keys[pi].begin(), probe_keys[pi].end()));
+    if (it == table.end()) continue;
+    for (size_t bi : it->second) {
+      const Row& l = build_right ? prow : build.rows[bi];
+      const Row& r = build_right ? build.rows[bi] : prow;
+      RETURN_IF_ERROR(emit(l, r));
     }
   }
   return out;
 }
 
-Result<RelData> JoinRelations(Ctx* ctx, RelData left, RelData right,
-                              std::vector<ConjunctInfo>* conjuncts,
-                              const Expr* on) {
-  StageSpan span(ctx, "join");
-  span.Tag("left_rows", static_cast<int64_t>(left.rows.size()));
-  span.Tag("right_rows", static_cast<int64_t>(right.rows.size()));
-  ctx->RecordAccess(obs::AccessKind::kJoinBegin, left.rows.size(),
-                    right.rows.size());
-  Schema combined = Schema::Concat(left.schema, right.schema);
+// ---- Filter / HAVING ----
 
-  // Gather applicable predicates: the ON clause plus WHERE conjuncts that
-  // resolve against the combined schema but not either input alone.
-  std::vector<ConjunctInfo> on_infos = AnalyzeConjuncts(on);
-  std::vector<ConjunctInfo*> applicable;
-  for (ConjunctInfo& info : on_infos) applicable.push_back(&info);
-  if (conjuncts != nullptr) {
-    for (ConjunctInfo& info : *conjuncts) {
-      if (info.consumed || info.has_subquery || info.columns.empty()) continue;
-      if (ResolvableBy(info.columns, combined)) {
-        applicable.push_back(&info);
-        info.consumed = true;
-      }
-    }
-  }
-
-  // Split into equi-join keys and residual predicates.
-  std::vector<EquiKey> keys;
-  std::vector<const Expr*> residual;
-  for (ConjunctInfo* info : applicable) {
-    const Expr* e = info->expr;
-    bool is_equi = false;
-    if (e->kind == ExprKind::kBinary && e->bin_op == BinOp::kEq) {
-      std::set<std::string> lcols, rcols;
-      bool lsub = false, rsub = false;
-      CollectColumns(*e->left, &lcols, &lsub);
-      CollectColumns(*e->right, &rcols, &rsub);
-      if (!lsub && !rsub && !lcols.empty() && !rcols.empty()) {
-        if (ResolvableBy(lcols, left.schema) &&
-            ResolvableBy(rcols, right.schema)) {
-          keys.push_back(EquiKey{e->left.get(), e->right.get()});
-          is_equi = true;
-        } else if (ResolvableBy(lcols, right.schema) &&
-                   ResolvableBy(rcols, left.schema)) {
-          keys.push_back(EquiKey{e->right.get(), e->left.get()});
-          is_equi = true;
-        }
-      }
-    }
-    if (!is_equi) residual.push_back(e);
-  }
-
-  RelData out;
-  out.schema = combined;
-
-  auto emit = [&](const Row& l, const Row& r) -> Result<bool> {
-    Row joined = l;
-    joined.insert(joined.end(), r.begin(), r.end());
-    EvalScope scope{&combined, &joined, ctx->outer};
+Status RowEngine::Filter(Ctx* ctx, RelData* rel,
+                         const std::vector<const Expr*>& residual) {
+  uint64_t rows_in = rel->rows.size();
+  std::vector<Row> kept;
+  for (Row& row : rel->rows) {
+    EvalScope scope{&rel->schema, &row, ctx->outer};
+    bool pass = true;
     for (const Expr* e : residual) {
       ctx->Charge(kFilterCycles);
       ASSIGN_OR_RETURN(bool ok, ctx->eval->EvalBool(*e, scope));
-      if (!ok) return false;
-    }
-    out.rows.push_back(std::move(joined));
-    return true;
-  };
-
-  span.Tag("kind", keys.empty() ? "nested-loop" : "hash");
-  if (!keys.empty()) {
-    // Hash join; build on the smaller input (right by default). Key
-    // evaluation — the per-row CPU work — runs morsel-parallel; the
-    // insert/probe/emit passes stay serial in table order (residual
-    // predicates may contain subqueries), preserving output order.
-    bool build_right = RelBytes(right) <= RelBytes(left);
-    const RelData& build = build_right ? right : left;
-    const RelData& probe = build_right ? left : right;
-
-    std::vector<const Expr*> build_exprs, probe_exprs;
-    build_exprs.reserve(keys.size());
-    probe_exprs.reserve(keys.size());
-    for (const EquiKey& k : keys) {
-      build_exprs.push_back(build_right ? k.right_expr : k.left_expr);
-      probe_exprs.push_back(build_right ? k.left_expr : k.right_expr);
-    }
-
-    ASSIGN_OR_RETURN(
-        std::vector<Bytes> build_keys,
-        ComputeJoinKeys(ctx, build, build_exprs, kJoinBuildCycles));
-    std::unordered_map<std::string, std::vector<size_t>> table;
-    table.reserve(build.rows.size());
-    for (size_t i = 0; i < build.rows.size(); ++i) {
-      table[std::string(build_keys[i].begin(), build_keys[i].end())]
-          .push_back(i);
-    }
-    ctx->TrackMemory(RelBytes(build));
-
-    ASSIGN_OR_RETURN(
-        std::vector<Bytes> probe_keys,
-        ComputeJoinKeys(ctx, probe, probe_exprs, kJoinProbeCycles));
-    for (size_t pi = 0; pi < probe.rows.size(); ++pi) {
-      const Row& prow = probe.rows[pi];
-      auto it = table.find(
-          std::string(probe_keys[pi].begin(), probe_keys[pi].end()));
-      if (it == table.end()) continue;
-      for (size_t bi : it->second) {
-        const Row& l = build_right ? prow : build.rows[bi];
-        const Row& r = build_right ? build.rows[bi] : prow;
-        RETURN_IF_ERROR(emit(l, r).status());
+      if (!ok) {
+        pass = false;
+        break;
       }
     }
-  } else {
-    // Nested-loop (cross product + residual filter).
-    ctx->TrackMemory(RelBytes(right));
-    for (const Row& l : left.rows) {
-      for (const Row& r : right.rows) {
-        ctx->Charge(kJoinProbeCycles);
-        RETURN_IF_ERROR(emit(l, r).status());
-      }
-    }
+    if (pass) kept.push_back(std::move(row));
   }
-  span.Tag("rows_out", static_cast<int64_t>(out.rows.size()));
-  ctx->RecordAccess(obs::AccessKind::kJoinEnd, out.rows.size(),
-                    keys.empty() ? 0 : 1);
-  return out;
+  rel->rows = std::move(kept);
+  ctx->RecordAccess(obs::AccessKind::kFilter, rows_in, rel->rows.size());
+  return Status::OK();
+}
+
+Status RowEngine::Having(Ctx* ctx, RelData* rel, const Expr& having) {
+  std::vector<Row> kept;
+  for (Row& row : rel->rows) {
+    ctx->Charge(kFilterCycles);
+    EvalScope scope{&rel->schema, &row, ctx->outer};
+    ASSIGN_OR_RETURN(bool ok, ctx->eval->EvalBool(having, scope));
+    if (ok) kept.push_back(std::move(row));
+  }
+  rel->rows = std::move(kept);
+  return Status::OK();
 }
 
 // ---- Aggregation ----
 
-struct AggState {
-  double sum = 0;
-  int64_t isum = 0;
-  bool all_int = true;
-  uint64_t count = 0;
-  Value min, max;
-  std::set<std::string> distinct;  // serialized values for DISTINCT
-};
-
-Result<RelData> Aggregate(Ctx* ctx, RelData input, const SelectStmt& stmt,
-                          std::map<std::string, const Expr*> agg_exprs) {
+Result<RelData> RowEngine::Aggregate(Ctx* ctx, RelData input,
+                                     const OutputPlan& plan) {
   RelData out;
-  // Output schema: group-by exprs then aggregates, named by printed form.
-  std::vector<const Expr*> group_exprs;
-  for (const auto& g : stmt.group_by) group_exprs.push_back(g.get());
-
-  for (const Expr* g : group_exprs) {
-    out.schema.AddColumn(Column{g->ToString(), InferType(*g, input.schema)});
-  }
-  std::vector<const Expr*> aggs;
-  for (const auto& [name, e] : agg_exprs) {
-    aggs.push_back(e);
-    out.schema.AddColumn(Column{name, InferType(*e, input.schema)});
-  }
+  out.schema = AggregateSchema(plan, input.schema);
+  const std::vector<const Expr*>& aggs = plan.aggs;
 
   std::map<std::string, std::pair<std::vector<Value>, std::vector<AggState>>>
       groups;
@@ -473,7 +280,7 @@ Result<RelData> Aggregate(Ctx* ctx, RelData input, const SelectStmt& stmt,
     ctx->Charge(kAggUpdateCycles);
     EvalScope scope{&input.schema, &row, ctx->outer};
     std::vector<Value> gvals;
-    for (const Expr* g : group_exprs) {
+    for (const Expr* g : plan.group_exprs) {
       ASSIGN_OR_RETURN(Value v, ctx->eval->Eval(*g, scope));
       gvals.push_back(std::move(v));
     }
@@ -485,49 +292,17 @@ Result<RelData> Aggregate(Ctx* ctx, RelData input, const SelectStmt& stmt,
 
     for (size_t i = 0; i < aggs.size(); ++i) {
       const Expr* a = aggs[i];
-      AggState& st = states[i];
       if (a->agg_func == AggFunc::kCountStar) {
-        ++st.count;
+        ++states[i].count;
         continue;
       }
       ASSIGN_OR_RETURN(Value v, ctx->eval->Eval(*a->args[0], scope));
-      if (v.is_null()) continue;
-      if (a->distinct) {
-        Bytes ser;
-        v.Serialize(&ser);
-        st.distinct.insert(std::string(ser.begin(), ser.end()));
-        continue;
-      }
-      switch (a->agg_func) {
-        case AggFunc::kCount:
-          ++st.count;
-          break;
-        case AggFunc::kSum:
-        case AggFunc::kAvg:
-          ++st.count;
-          st.sum += v.AsDouble();
-          if (v.type() == Type::kInt64) {
-            st.isum += v.AsInt();
-          } else {
-            st.all_int = false;
-          }
-          break;
-        case AggFunc::kMin:
-          if (st.count == 0 || v.Compare(st.min) < 0) st.min = v;
-          ++st.count;
-          break;
-        case AggFunc::kMax:
-          if (st.count == 0 || v.Compare(st.max) > 0) st.max = v;
-          ++st.count;
-          break;
-        default:
-          break;
-      }
+      if (!v.is_null()) states[i].Add(*a, v);
     }
   }
 
   // Global aggregate over zero rows still yields one output row.
-  if (groups.empty() && group_exprs.empty()) {
+  if (groups.empty() && plan.group_exprs.empty()) {
     groups.emplace("", std::make_pair(std::vector<Value>{},
                                       std::vector<AggState>(aggs.size())));
   }
@@ -535,44 +310,48 @@ Result<RelData> Aggregate(Ctx* ctx, RelData input, const SelectStmt& stmt,
   uint64_t mem = 0;
   for (auto& [key, group] : groups) {
     mem += key.size() + group.second.size() * sizeof(AggState);
-    Row row = group.first;
-    for (size_t i = 0; i < aggs.size(); ++i) {
-      const Expr* a = aggs[i];
-      AggState& st = group.second[i];
-      switch (a->agg_func) {
-        case AggFunc::kCountStar:
-        case AggFunc::kCount:
-          row.push_back(Value::Int(
-              a->distinct ? static_cast<int64_t>(st.distinct.size())
-                          : static_cast<int64_t>(st.count)));
-          break;
-        case AggFunc::kSum:
-          if (st.count == 0) {
-            row.push_back(Value::Null());
-          } else if (st.all_int) {
-            row.push_back(Value::Int(st.isum));
-          } else {
-            row.push_back(Value::Double(st.sum));
-          }
-          break;
-        case AggFunc::kAvg:
-          row.push_back(st.count == 0
-                            ? Value::Null()
-                            : Value::Double(st.sum /
-                                            static_cast<double>(st.count)));
-          break;
-        case AggFunc::kMin:
-          row.push_back(st.count == 0 ? Value::Null() : st.min);
-          break;
-        case AggFunc::kMax:
-          row.push_back(st.count == 0 ? Value::Null() : st.max);
-          break;
-      }
-    }
-    out.rows.push_back(std::move(row));
+    out.rows.push_back(
+        AggregateRow(std::move(group.first), aggs, group.second));
   }
   ctx->TrackMemory(mem);
+  ctx->RecordAccess(obs::AccessKind::kAggregate, input.rows.size(),
+                    out.rows.size());
   return out;
+}
+
+// ---- Projection ----
+
+Status RowEngine::Project(Ctx* ctx, const OutputPlan& plan, RelData input,
+                          Projection* out) {
+  ASSIGN_OR_RETURN(OutputColumns cols, PlanOutputColumns(plan, input.schema));
+  out->result.schema = std::move(cols.schema);
+  out->order_from_input = std::move(cols.order_from_input);
+  if (plan.star_only()) {
+    out->result.rows = std::move(input.rows);
+    return Status::OK();
+  }
+  for (const Row& row : input.rows) {
+    ctx->Charge(kProjectCycles);
+    EvalScope scope{&input.schema, &row, ctx->outer};
+    Row out_row;
+    out_row.reserve(plan.items.size());
+    for (const SelectItem& item : plan.items) {
+      ASSIGN_OR_RETURN(Value v, ctx->eval->Eval(*item.expr, scope));
+      out_row.push_back(std::move(v));
+    }
+    if (cols.any_hidden) {
+      std::vector<Value> hk;
+      for (size_t k = 0; k < plan.order_by.size(); ++k) {
+        if (!out->order_from_input[k]) continue;
+        ASSIGN_OR_RETURN(Value v,
+                         ctx->eval->Eval(*plan.order_by[k].expr, scope));
+        hk.push_back(std::move(v));
+      }
+      out->hidden_keys.push_back(std::move(hk));
+    }
+    out->result.rows.push_back(std::move(out_row));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -582,287 +361,9 @@ Result<QueryResult> ExecuteSelectRow(Database* db, const SelectStmt& stmt,
                                      sim::CostModel* cost,
                                      const ExecOptions& opts,
                                      ExecStats* stats) {
-  Ctx ctx;
-  ctx.db = db;
-  ctx.cost = cost;
-  ctx.opts = opts;
-  ctx.stats = stats;
-  ctx.outer = outer;
-  ctx.runner = std::make_unique<ExecSubqueryRunner>(db, cost, opts);
-  ctx.eval = std::make_unique<Evaluator>(ctx.runner.get());
-  ctx.traced =
-      opts.trace && cost != nullptr && obs::CurrentTracer() != nullptr;
-  ctx.access = opts.trace ? obs::CurrentAccessLog() : nullptr;
-
-  if (stmt.from.empty()) {
-    // SELECT without FROM: evaluate items once against the outer scope.
-    QueryResult result;
-    EvalScope scope{nullptr, nullptr, outer};
-    Row row;
-    for (const SelectItem& item : stmt.items) {
-      ASSIGN_OR_RETURN(Value v, ctx.eval->Eval(*item.expr, scope));
-      result.schema.AddColumn(Column{
-          item.alias.empty() ? item.expr->ToString() : item.alias, v.type()});
-      row.push_back(std::move(v));
-    }
-    result.rows.push_back(std::move(row));
-    return result;
-  }
-
-  StageSpan select_span(&ctx, "select");
-  ctx.RecordAccess(obs::AccessKind::kQueryBegin, 0);
-
-  std::vector<ConjunctInfo> conjuncts = AnalyzeConjuncts(stmt.where.get());
-
-  // 1. Scan the first relation, then fold in the rest.
-  ASSIGN_OR_RETURN(RelData current, ScanRelation(&ctx, stmt.from[0], &conjuncts));
-  for (size_t i = 1; i < stmt.from.size(); ++i) {
-    ASSIGN_OR_RETURN(RelData next, ScanRelation(&ctx, stmt.from[i], &conjuncts));
-    ASSIGN_OR_RETURN(current, JoinRelations(&ctx, std::move(current),
-                                            std::move(next), &conjuncts,
-                                            nullptr));
-  }
-  for (const JoinClause& join : stmt.joins) {
-    ASSIGN_OR_RETURN(RelData next, ScanRelation(&ctx, join.table, &conjuncts));
-    ASSIGN_OR_RETURN(current, JoinRelations(&ctx, std::move(current),
-                                            std::move(next), &conjuncts,
-                                            join.on.get()));
-  }
-
-  // 2. Residual predicates (incl. subquery predicates, correlated ones
-  //    see the current row through the scope chain).
-  {
-    std::vector<const Expr*> residual;
-    for (ConjunctInfo& info : conjuncts) {
-      if (!info.consumed) residual.push_back(info.expr);
-    }
-    if (!residual.empty()) {
-      StageSpan filter_span(&ctx, "filter");
-      filter_span.Tag("rows_in", static_cast<int64_t>(current.rows.size()));
-      filter_span.Tag("predicates", static_cast<int64_t>(residual.size()));
-      uint64_t filter_rows_in = current.rows.size();
-      std::vector<Row> kept;
-      for (Row& row : current.rows) {
-        EvalScope scope{&current.schema, &row, ctx.outer};
-        bool pass = true;
-        for (const Expr* e : residual) {
-          ctx.Charge(kFilterCycles);
-          ASSIGN_OR_RETURN(bool ok, ctx.eval->EvalBool(*e, scope));
-          if (!ok) {
-            pass = false;
-            break;
-          }
-        }
-        if (pass) kept.push_back(std::move(row));
-      }
-      current.rows = std::move(kept);
-      filter_span.Tag("rows_out", static_cast<int64_t>(current.rows.size()));
-      ctx.RecordAccess(obs::AccessKind::kFilter, filter_rows_in,
-                       current.rows.size());
-    }
-  }
-
-  // 3. Aggregation.
-  std::map<std::string, const Expr*> agg_exprs;
-  for (const SelectItem& item : stmt.items) {
-    CollectAggregates(*item.expr, &agg_exprs);
-  }
-  if (stmt.having) CollectAggregates(*stmt.having, &agg_exprs);
-  for (const OrderItem& o : stmt.order_by) CollectAggregates(*o.expr, &agg_exprs);
-
-  bool aggregated = !agg_exprs.empty() || !stmt.group_by.empty();
-  std::set<std::string> rewrite_names;
-  std::vector<SelectItem> items;  // possibly rewritten select list
-  ExprPtr having;
-  std::vector<OrderItem> order_by;
-
-  if (aggregated) {
-    for (const auto& g : stmt.group_by) rewrite_names.insert(g->ToString());
-    for (const auto& [name, e] : agg_exprs) rewrite_names.insert(name);
-    {
-      StageSpan agg_span(&ctx, "aggregate");
-      agg_span.Tag("rows_in", static_cast<int64_t>(current.rows.size()));
-      uint64_t agg_rows_in = current.rows.size();
-      ASSIGN_OR_RETURN(current, Aggregate(&ctx, std::move(current), stmt,
-                                          agg_exprs));
-      agg_span.Tag("groups", static_cast<int64_t>(current.rows.size()));
-      ctx.RecordAccess(obs::AccessKind::kAggregate, agg_rows_in,
-                       current.rows.size());
-    }
-    for (const SelectItem& item : stmt.items) {
-      items.push_back(SelectItem{RewriteToColumns(*item.expr, rewrite_names),
-                                 item.alias});
-    }
-    if (stmt.having) having = RewriteToColumns(*stmt.having, rewrite_names);
-    for (const OrderItem& o : stmt.order_by) {
-      order_by.push_back(
-          OrderItem{RewriteToColumns(*o.expr, rewrite_names), o.desc});
-    }
-  } else {
-    for (const SelectItem& item : stmt.items) {
-      items.push_back(SelectItem{item.expr->Clone(), item.alias});
-    }
-    if (stmt.having) {
-      return Status::InvalidArgument("HAVING requires GROUP BY or aggregates");
-    }
-    for (const OrderItem& o : stmt.order_by) {
-      order_by.push_back(OrderItem{o.expr->Clone(), o.desc});
-    }
-  }
-
-  // 4. HAVING.
-  if (having) {
-    std::vector<Row> kept;
-    for (Row& row : current.rows) {
-      ctx.Charge(kFilterCycles);
-      EvalScope scope{&current.schema, &row, ctx.outer};
-      ASSIGN_OR_RETURN(bool ok, ctx.eval->EvalBool(*having, scope));
-      if (ok) kept.push_back(std::move(row));
-    }
-    current.rows = std::move(kept);
-  }
-
-  // 5. Projection (with * expansion). ORDER BY keys that do not resolve
-  //    against the projected schema (e.g. ORDER BY a non-projected column)
-  //    are evaluated against the pre-projection row and carried as hidden
-  //    keys alongside each output row.
-  QueryResult result;
-  std::vector<bool> order_from_input(order_by.size(), false);
-  std::vector<std::vector<Value>> hidden_keys;
-  {
-    StageSpan project_span(&ctx, "project");
-    project_span.Tag("rows", static_cast<int64_t>(current.rows.size()));
-    bool star_only = items.size() == 1 && items[0].expr->kind == ExprKind::kStar;
-    if (star_only) {
-      result.schema = current.schema;
-      result.rows = std::move(current.rows);
-    } else {
-      for (const SelectItem& item : items) {
-        if (item.expr->kind == ExprKind::kStar) {
-          return Status::InvalidArgument(
-              "* must be the only item in a SELECT list");
-        }
-        std::string name = item.alias;
-        if (name.empty()) {
-          if (item.expr->kind == ExprKind::kColumn) {
-            const std::string& cn = item.expr->column_name;
-            size_t dot = cn.rfind('.');
-            name = dot == std::string::npos ? cn : cn.substr(dot + 1);
-          } else {
-            name = item.expr->ToString();
-          }
-        }
-        result.schema.AddColumn(
-            Column{name, InferType(*item.expr, current.schema)});
-      }
-      // Decide which ORDER BY keys need the pre-projection row.
-      for (size_t k = 0; k < order_by.size(); ++k) {
-        std::set<std::string> cols;
-        bool sub = false;
-        CollectColumns(*order_by[k].expr, &cols, &sub);
-        if (!ResolvableBy(cols, result.schema)) order_from_input[k] = true;
-      }
-      bool any_hidden = std::any_of(order_from_input.begin(),
-                                    order_from_input.end(),
-                                    [](bool b) { return b; });
-      for (const Row& row : current.rows) {
-        ctx.Charge(kProjectCycles);
-        EvalScope scope{&current.schema, &row, ctx.outer};
-        Row out_row;
-        out_row.reserve(items.size());
-        for (const SelectItem& item : items) {
-          ASSIGN_OR_RETURN(Value v, ctx.eval->Eval(*item.expr, scope));
-          out_row.push_back(std::move(v));
-        }
-        if (any_hidden) {
-          std::vector<Value> hk;
-          for (size_t k = 0; k < order_by.size(); ++k) {
-            if (!order_from_input[k]) continue;
-            ASSIGN_OR_RETURN(Value v, ctx.eval->Eval(*order_by[k].expr, scope));
-            hk.push_back(std::move(v));
-          }
-          hidden_keys.push_back(std::move(hk));
-        }
-        result.rows.push_back(std::move(out_row));
-      }
-    }
-  }
-
-  // 6. DISTINCT (dedupe on the visible columns, keeping the first row).
-  if (stmt.distinct) {
-    std::set<std::string> seen;
-    std::vector<Row> kept;
-    std::vector<std::vector<Value>> kept_hidden;
-    for (size_t i = 0; i < result.rows.size(); ++i) {
-      Bytes key = KeyOf(result.rows[i]);
-      if (seen.insert(std::string(key.begin(), key.end())).second) {
-        kept.push_back(std::move(result.rows[i]));
-        if (!hidden_keys.empty()) {
-          kept_hidden.push_back(std::move(hidden_keys[i]));
-        }
-      }
-    }
-    result.rows = std::move(kept);
-    hidden_keys = std::move(kept_hidden);
-  }
-
-  // 7. ORDER BY: output-schema keys evaluated on the projected row,
-  //    input-schema keys read from the hidden key vector.
-  if (!order_by.empty()) {
-    StageSpan sort_span(&ctx, "sort");
-    sort_span.Tag("rows", static_cast<int64_t>(result.rows.size()));
-    ctx.RecordAccess(obs::AccessKind::kSort, result.rows.size());
-    struct SortKey {
-      std::vector<Value> keys;
-      size_t index;
-    };
-    std::vector<SortKey> sort_keys(result.rows.size());
-    for (size_t i = 0; i < result.rows.size(); ++i) {
-      EvalScope scope{&result.schema, &result.rows[i], ctx.outer};
-      sort_keys[i].index = i;
-      size_t hidden_pos = 0;
-      for (size_t k = 0; k < order_by.size(); ++k) {
-        if (order_from_input[k]) {
-          sort_keys[i].keys.push_back(hidden_keys[i][hidden_pos++]);
-          continue;
-        }
-        ASSIGN_OR_RETURN(Value v, ctx.eval->Eval(*order_by[k].expr, scope));
-        sort_keys[i].keys.push_back(std::move(v));
-      }
-    }
-    size_t n = result.rows.size();
-    if (n > 1) {
-      ctx.Charge(kSortCmpCycles * n *
-                 static_cast<uint64_t>(std::max(1.0, std::log2(double(n)))));
-    }
-    std::stable_sort(sort_keys.begin(), sort_keys.end(),
-                     [&](const SortKey& a, const SortKey& b) {
-                       for (size_t k = 0; k < order_by.size(); ++k) {
-                         int c = a.keys[k].Compare(b.keys[k]);
-                         if (c != 0) return order_by[k].desc ? c > 0 : c < 0;
-                       }
-                       return false;
-                     });
-    std::vector<Row> sorted;
-    sorted.reserve(n);
-    for (const SortKey& sk : sort_keys) {
-      sorted.push_back(std::move(result.rows[sk.index]));
-    }
-    result.rows = std::move(sorted);
-    ctx.TrackMemory(RelBytes(RelData{result.schema, result.rows}));
-  }
-
-  // 8. LIMIT.
-  if (stmt.limit >= 0 &&
-      result.rows.size() > static_cast<size_t>(stmt.limit)) {
-    result.rows.resize(stmt.limit);
-  }
-
-  if (stats != nullptr) stats->rows_output += result.rows.size();
-  select_span.Tag("rows_out", static_cast<int64_t>(result.rows.size()));
-  ctx.RecordAccess(obs::AccessKind::kResult, result.rows.size());
-  ctx.FlushCharges();
-  return result;
+  Ctx ctx(db, cost, opts, stats, outer);
+  if (stmt.from.empty()) return SelectWithoutFrom(&ctx, stmt);
+  return RunSelect<RowEngine>(&ctx, stmt);
 }
 
 }  // namespace exec

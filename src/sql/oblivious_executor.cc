@@ -1,15 +1,9 @@
 #include <algorithm>
-#include <cmath>
-#include <functional>
-#include <map>
-#include <optional>
-#include <set>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
-#include "obs/trace.h"
 #include "sql/column_batch.h"
 #include "sql/database.h"
 #include "sql/exec_internal.h"
@@ -55,12 +49,6 @@ struct ORel {
   std::vector<uint8_t> valid;
 };
 
-uint64_t ORelBytes(const ORel& rel) {
-  uint64_t total = 0;
-  for (const Row& r : rel.rows) total += RowBytes(r);
-  return total;
-}
-
 /// Pads `items` to the next power of two with default-constructed
 /// sentinels (every sortable item type below defaults to pad = 1, which
 /// all comparators order last), runs the bitonic network, charges the
@@ -84,33 +72,58 @@ int CompareU64(uint64_t a, uint64_t b) {
   return 0;
 }
 
+/// A projected padded relation before DISTINCT / ORDER BY / LIMIT.
+struct OProjection {
+  ORel rel;
+  std::vector<bool> order_from_input;  // see OutputColumns
+  std::vector<std::vector<Value>> hidden_keys;
+};
+
+/// The oblivious mode's operators for RunSelect. Every stage keeps its
+/// input's padded width; Rows() reports that width, so the stage tags
+/// and access events the skeleton emits are shape-only.
+struct OblEngine {
+  using Rel = ORel;
+  using Projected = OProjection;
+  using Out = ORel;
+  static constexpr std::string_view kEquiJoinKind = "sort-merge";
+
+  static uint64_t Rows(const ORel& rel) { return rel.rows.size(); }
+  static Result<ORel> Derived(Ctx* ctx, const SelectStmt& subquery);
+  static Status Scan(Ctx* ctx, Table* table,
+                     const std::vector<const Expr*>& filters, ORel* rel);
+  static Result<ORel> Join(Ctx* ctx, ORel left, ORel right,
+                           const JoinPredicates& preds);
+  static Status Filter(Ctx* ctx, ORel* rel,
+                       const std::vector<const Expr*>& residual);
+  static Result<ORel> Aggregate(Ctx* ctx, ORel input, const OutputPlan& plan);
+  static Status Having(Ctx* ctx, ORel* rel, const Expr& having) {
+    return Filter(ctx, rel, {&having});
+  }
+  static Status Project(Ctx* ctx, const OutputPlan& plan, ORel input,
+                        OProjection* out);
+  static Result<ORel> Finish(Ctx* ctx, const SelectStmt& stmt,
+                             const OutputPlan& plan, OProjection proj,
+                             StageSpan* select_span);
+};
+
 // ---- Scan ----
 
-struct OblScanSlice {
+struct OblScanSlice : MorselSlice {
   std::vector<Row> rows;
-  uint64_t rows_scanned = 0;
-  uint64_t cycles = 0;
-  std::optional<sim::CostModel> cost;
   obs::AccessLog access;
-  Status status = Status::OK();
-  uint64_t unit_begin = 0;
-  uint64_t unit_end = 0;
-  int64_t wall_start_us = 0;
-  int64_t wall_end_us = 0;
 };
 
 /// Full-table morsel scan with no pushed filters: every unit is read in
-/// table order regardless of values. Workers scan contiguous unit
-/// ranges against private cost/access slices which merge in worker
-/// order, so rows, charges and the unit-read event sequence are
-/// identical for every real worker count. The decode path follows
-/// opts.engine (cursor vs batch), but both read the same pages and
-/// charge the same flat constant per row — the `cached` decode discount
-/// is deliberately not taken, so cost stays engine- and
-/// history-independent.
+/// table order regardless of values, and each worker records its
+/// unit-read events in a private access slice that merges in worker
+/// order, so rows, charges and the event sequence are identical for
+/// every real worker count. The decode path follows opts.engine (cursor
+/// vs batch), but both read the same pages and charge the same flat
+/// constant per row — the `cached` decode discount is deliberately not
+/// taken, so cost stays engine- and history-independent.
 Status ScanTableOblivious(Ctx* ctx, Table* table, ORel* rel) {
-  uint64_t units = table->morsel_units();
-  if (units == 0) {
+  if (table->morsel_units() == 0) {
     // Empty table (or a store without partitioned scans): plain serial
     // cursor over whatever is there — still a full scan.
     auto cursor = table->NewCursor(ctx->cost);
@@ -126,52 +139,30 @@ Status ScanTableOblivious(Ctx* ctx, Table* table, ORel* rel) {
     return Status::OK();
   }
 
-  int workers = PlanWorkers(*ctx, units, kMinScanUnitsPerWorker);
-  std::vector<OblScanSlice> slices(workers);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(workers);
-  const size_t num_cols = rel->schema.size();
   const bool batch_decode = ctx->opts.engine == ExecEngine::kVectorized;
   const bool record = ctx->access != nullptr;
-  obs::Tracer* tracer = ctx->traced ? obs::CurrentTracer() : nullptr;
-  for (int w = 0; w < workers; ++w) {
-    uint64_t begin = units * w / workers;
-    uint64_t end = units * (w + 1) / workers;
-    OblScanSlice* slice = &slices[w];
-    slice->unit_begin = begin;
-    slice->unit_end = end;
-    if (ctx->cost != nullptr) slice->cost.emplace(ctx->cost->profile());
-    tasks.push_back([table, num_cols, batch_decode, record, begin, end, slice,
-                     tracer] {
-      if (tracer != nullptr) slice->wall_start_us = tracer->WallNowUs();
-      sim::CostModel* wcost = slice->cost ? &*slice->cost : nullptr;
-      [&] {
+  RETURN_IF_ERROR(RunMorsels<OblScanSlice>(
+      ctx, table,
+      [&](OblScanSlice* slice, sim::CostModel* cost) -> Status {
         Row row;
-        for (uint64_t unit = begin; unit < end; ++unit) {
+        for (uint64_t unit = slice->unit_begin; unit < slice->unit_end;
+             ++unit) {
           uint64_t unit_rows = 0;
           if (batch_decode) {
-            Result<DecodedMorsel> decoded = table->DecodeMorselBatch(unit, wcost);
-            if (!decoded.ok()) {
-              slice->status = decoded.status();
-              return;
-            }
-            const auto& batch = decoded->batch;
+            ASSIGN_OR_RETURN(DecodedMorsel decoded,
+                             table->DecodeMorselBatch(unit, cost));
+            const auto& batch = decoded.batch;
             size_t n = batch == nullptr ? 0 : batch->rows();
             for (size_t i = 0; i < n; ++i) {
               batch->MaterializeRow(i, &row);
               slice->rows.push_back(row);
             }
             unit_rows = n;
-            (void)num_cols;
           } else {
-            auto cursor = table->NewMorselCursor(unit, unit + 1, wcost);
+            auto cursor = table->NewMorselCursor(unit, unit + 1, cost);
             while (true) {
-              Result<bool> more = cursor->Next(&row);
-              if (!more.ok()) {
-                slice->status = more.status();
-                return;
-              }
-              if (!*more) break;
+              ASSIGN_OR_RETURN(bool more, cursor->Next(&row));
+              if (!more) break;
               ++unit_rows;
               slice->rows.push_back(std::move(row));
             }
@@ -182,38 +173,14 @@ Status ScanTableOblivious(Ctx* ctx, Table* table, ORel* rel) {
             slice->access.Record(obs::AccessKind::kUnitRead, unit, unit_rows);
           }
         }
-      }();
-      if (tracer != nullptr) slice->wall_end_us = tracer->WallNowUs();
-    });
-  }
-
-  table->BeginParallelScan(workers);
-  common::ThreadPool::Shared().RunTasks(tasks);
-  table->EndParallelScan();
-
-  size_t total = rel->rows.size();
-  for (const OblScanSlice& s : slices) total += s.rows.size();
-  rel->rows.reserve(total);
-  for (int w = 0; w < workers; ++w) {
-    OblScanSlice& s = slices[w];
-    RETURN_IF_ERROR(s.status);
-    if (ctx->stats != nullptr) ctx->stats->rows_scanned += s.rows_scanned;
-    ctx->Charge(s.cycles);
-    if (ctx->cost != nullptr && s.cost.has_value()) {
-      ctx->cost->MergeChild(*s.cost);
-    }
-    if (ctx->access != nullptr) ctx->access->Append(s.access);
-    if (tracer != nullptr) {
-      int64_t id = tracer->AddDetailSpan(
-          "morsel", "sql", s.cost ? s.cost->elapsed_ns() : 0, w,
-          s.wall_start_us, s.wall_end_us);
-      tracer->AddTag(id, "worker", static_cast<int64_t>(w));
-      tracer->AddTag(id, "unit_begin", static_cast<int64_t>(s.unit_begin));
-      tracer->AddTag(id, "unit_end", static_cast<int64_t>(s.unit_end));
-      tracer->AddTag(id, "rows_scanned", static_cast<int64_t>(s.rows_scanned));
-    }
-    for (Row& r : s.rows) rel->rows.push_back(std::move(r));
-  }
+        return Status::OK();
+      },
+      [&](OblScanSlice& s, int64_t /*span*/) {
+        if (ctx->access != nullptr) ctx->access->Append(s.access);
+        rel->rows.insert(rel->rows.end(),
+                         std::make_move_iterator(s.rows.begin()),
+                         std::make_move_iterator(s.rows.end()));
+      }));
   rel->valid.assign(rel->rows.size(), 1);
   return Status::OK();
 }
@@ -221,7 +188,7 @@ Status ScanTableOblivious(Ctx* ctx, Table* table, ORel* rel) {
 /// Evaluates `exprs` on every row (valid and dummy alike, with no
 /// short-circuiting, so the evaluation count per row is fixed) and ANDs
 /// the outcome into the validity flags. Rows are never dropped.
-Status MaskedFilterExprs(Ctx* ctx, ORel* rel,
+Status OblEngine::Filter(Ctx* ctx, ORel* rel,
                          const std::vector<const Expr*>& exprs) {
   if (exprs.empty()) return Status::OK();
   const size_t n = rel->rows.size();
@@ -239,66 +206,39 @@ Status MaskedFilterExprs(Ctx* ctx, ORel* rel,
   return Status::OK();
 }
 
-Result<ORel> ExecutePaddedPipeline(Database* db, const SelectStmt& stmt,
-                                   const EvalScope* outer,
-                                   sim::CostModel* cost,
-                                   const ExecOptions& opts, ExecStats* stats);
-
-Result<ORel> ScanRelationOblivious(Ctx* ctx, const TableRef& ref,
-                                   std::vector<ConjunctInfo>* conjuncts) {
-  StageSpan span(ctx, "scan");
-  span.Tag("table", ref.subquery ? "derived:" + ref.alias : ref.table_name);
-  ctx->RecordAccess(obs::AccessKind::kScanBegin);
+/// Derived table: the subquery's *padded* relation flows through — its
+/// width is shape-derived, so the outer pipeline never sees the
+/// (value-dependent) compacted row count. As in the plain engines, the
+/// inner pipeline charges the shared cost model but not the outer
+/// ExecStats; the derived relation's valid rows count as scanned.
+Result<ORel> OblEngine::Derived(Ctx* ctx, const SelectStmt& subquery) {
+  Ctx inner(ctx->db, ctx->cost, ctx->opts, /*stats=*/nullptr, ctx->outer);
   ORel rel;
-  if (ref.subquery) {
-    // Derived table: the subquery's *padded* relation flows through —
-    // its width is shape-derived, so the outer pipeline never sees the
-    // (value-dependent) compacted row count. As in the plain engines,
-    // the inner pipeline charges the shared cost model but not the
-    // outer ExecStats; the derived relation's valid rows count as
-    // scanned.
-    ASSIGN_OR_RETURN(ORel sub,
-                     ExecutePaddedPipeline(ctx->db, *ref.subquery, ctx->outer,
-                                           ctx->cost, ctx->opts,
-                                           /*stats=*/nullptr));
-    rel.schema = sub.schema.Qualified(ref.alias);
+  if (subquery.from.empty()) {
+    ASSIGN_OR_RETURN(QueryResult sub, SelectWithoutFrom(&inner, subquery));
+    rel.schema = std::move(sub.schema);
     rel.rows = std::move(sub.rows);
-    rel.valid = std::move(sub.valid);
-    if (ctx->stats != nullptr) {
-      ctx->stats->rows_scanned += MaskedCount(rel.valid);
-    }
-    ctx->Charge(rel.rows.size() * kOblScanRowCycles);
+    rel.valid.assign(rel.rows.size(), 1);
   } else {
-    ASSIGN_OR_RETURN(Table * t, ctx->db->GetTable(ref.table_name));
-    rel.schema = t->schema().Qualified(ref.alias);
-    RETURN_IF_ERROR(ScanTableOblivious(ctx, t, &rel));
+    ASSIGN_OR_RETURN(rel, RunSelect<OblEngine>(&inner, subquery));
   }
-
-  // The conjuncts the plain engines push into the scan are applied here
-  // as a validity mask instead — same consumption bookkeeping, but the
-  // fetch above never depended on them.
-  std::vector<const Expr*> filters;
-  if (conjuncts != nullptr) {
-    for (ConjunctInfo& info : *conjuncts) {
-      if (info.consumed || info.has_subquery) continue;
-      if (!info.columns.empty() && ResolvableBy(info.columns, rel.schema)) {
-        filters.push_back(info.expr);
-        info.consumed = true;
-      }
-    }
+  if (ctx->stats != nullptr) {
+    ctx->stats->rows_scanned += MaskedCount(rel.valid);
   }
-  RETURN_IF_ERROR(MaskedFilterExprs(ctx, &rel, filters));
-  span.Tag("rows_out", static_cast<int64_t>(rel.rows.size()));
-  ctx->RecordAccess(obs::AccessKind::kScanEnd, rel.rows.size());
+  ctx->Charge(rel.rows.size() * kOblScanRowCycles);
   return rel;
 }
 
-// ---- Join ----
+/// The conjuncts the plain engines push into the scan are applied here
+/// as a validity mask instead — same consumption bookkeeping, but the
+/// fetch never depended on them.
+Status OblEngine::Scan(Ctx* ctx, Table* table,
+                       const std::vector<const Expr*>& filters, ORel* rel) {
+  if (table != nullptr) RETURN_IF_ERROR(ScanTableOblivious(ctx, table, rel));
+  return Filter(ctx, rel, filters);
+}
 
-struct EquiKey {
-  const Expr* left_expr;
-  const Expr* right_expr;
-};
+// ---- Join ----
 
 /// Sortable join-side item. Default-constructed items are network
 /// padding and order last.
@@ -350,71 +290,17 @@ Result<std::vector<JoinItem>> ComputeJoinItems(
 /// therefore depends on the stored data's join-key multiplicity (public
 /// shape), never on predicate selectivity. Non-equi joins fall back to
 /// the full cross product — all nl*nr pairs, validity-masked.
-Result<ORel> JoinRelationsOblivious(Ctx* ctx, ORel left, ORel right,
-                                    std::vector<ConjunctInfo>* conjuncts,
-                                    const Expr* on) {
-  StageSpan span(ctx, "join");
-  span.Tag("left_rows", static_cast<int64_t>(left.rows.size()));
-  span.Tag("right_rows", static_cast<int64_t>(right.rows.size()));
-  ctx->RecordAccess(obs::AccessKind::kJoinBegin, left.rows.size(),
-                    right.rows.size());
-  Schema combined = Schema::Concat(left.schema, right.schema);
-
-  std::vector<ConjunctInfo> on_infos = AnalyzeConjuncts(on);
-  std::vector<ConjunctInfo*> applicable;
-  for (ConjunctInfo& info : on_infos) applicable.push_back(&info);
-  if (conjuncts != nullptr) {
-    for (ConjunctInfo& info : *conjuncts) {
-      if (info.consumed || info.has_subquery || info.columns.empty()) continue;
-      if (ResolvableBy(info.columns, combined)) {
-        applicable.push_back(&info);
-        info.consumed = true;
-      }
-    }
-  }
-
-  std::vector<EquiKey> keys;
-  std::vector<const Expr*> residual;
-  for (ConjunctInfo* info : applicable) {
-    const Expr* e = info->expr;
-    bool is_equi = false;
-    if (e->kind == ExprKind::kBinary && e->bin_op == BinOp::kEq) {
-      std::set<std::string> lcols, rcols;
-      bool lsub = false, rsub = false;
-      CollectColumns(*e->left, &lcols, &lsub);
-      CollectColumns(*e->right, &rcols, &rsub);
-      if (!lsub && !rsub && !lcols.empty() && !rcols.empty()) {
-        if (ResolvableBy(lcols, left.schema) &&
-            ResolvableBy(rcols, right.schema)) {
-          keys.push_back(EquiKey{e->left.get(), e->right.get()});
-          is_equi = true;
-        } else if (ResolvableBy(lcols, right.schema) &&
-                   ResolvableBy(rcols, left.schema)) {
-          keys.push_back(EquiKey{e->right.get(), e->left.get()});
-          is_equi = true;
-        }
-      }
-    }
-    if (!is_equi) residual.push_back(e);
-  }
-
-  ctx->TrackMemory(ORelBytes(left) + ORelBytes(right));
+Result<ORel> OblEngine::Join(Ctx* ctx, ORel left, ORel right,
+                             const JoinPredicates& preds) {
+  ctx->TrackMemory(TotalRowBytes(left.rows) + TotalRowBytes(right.rows));
 
   ORel out;
-  out.schema = combined;
-  span.Tag("kind", keys.empty() ? "nested-loop" : "sort-merge");
-  if (!keys.empty()) {
-    std::vector<const Expr*> left_exprs, right_exprs;
-    left_exprs.reserve(keys.size());
-    right_exprs.reserve(keys.size());
-    for (const EquiKey& k : keys) {
-      left_exprs.push_back(k.left_expr);
-      right_exprs.push_back(k.right_expr);
-    }
+  out.schema = preds.combined;
+  if (!preds.keys.empty()) {
     ASSIGN_OR_RETURN(std::vector<JoinItem> litems,
-                     ComputeJoinItems(ctx, left, left_exprs));
+                     ComputeJoinItems(ctx, left, preds.KeyExprs(true)));
     ASSIGN_OR_RETURN(std::vector<JoinItem> ritems,
-                     ComputeJoinItems(ctx, right, right_exprs));
+                     ComputeJoinItems(ctx, right, preds.KeyExprs(false)));
     SortNetwork(ctx, &litems, CompareJoinItems);
     SortNetwork(ctx, &ritems, CompareJoinItems);
 
@@ -469,23 +355,11 @@ Result<ORel> JoinRelationsOblivious(Ctx* ctx, ORel left, ORel right,
     ctx->RecordAccess(obs::AccessKind::kJoinMerge, out.rows.size(), 0);
   }
 
-  RETURN_IF_ERROR(MaskedFilterExprs(ctx, &out, residual));
-  span.Tag("rows_out", static_cast<int64_t>(out.rows.size()));
-  ctx->RecordAccess(obs::AccessKind::kJoinEnd, out.rows.size(),
-                    keys.empty() ? 0 : 1);
+  RETURN_IF_ERROR(Filter(ctx, &out, preds.residual));
   return out;
 }
 
 // ---- Aggregation ----
-
-struct AggState {
-  double sum = 0;
-  int64_t isum = 0;
-  bool all_int = true;
-  uint64_t count = 0;
-  Value min, max;
-  std::set<std::string> distinct;
-};
 
 Status AccumulateAgg(Ctx* ctx, const Schema& schema, const Row& row,
                      const std::vector<const Expr*>& aggs,
@@ -493,86 +367,14 @@ Status AccumulateAgg(Ctx* ctx, const Schema& schema, const Row& row,
   EvalScope scope{&schema, &row, ctx->outer};
   for (size_t i = 0; i < aggs.size(); ++i) {
     const Expr* a = aggs[i];
-    AggState& st = (*states)[i];
     if (a->agg_func == AggFunc::kCountStar) {
-      ++st.count;
+      ++(*states)[i].count;
       continue;
     }
     ASSIGN_OR_RETURN(Value v, ctx->eval->Eval(*a->args[0], scope));
-    if (v.is_null()) continue;
-    if (a->distinct) {
-      Bytes ser;
-      v.Serialize(&ser);
-      st.distinct.insert(std::string(ser.begin(), ser.end()));
-      continue;
-    }
-    switch (a->agg_func) {
-      case AggFunc::kCount:
-        ++st.count;
-        break;
-      case AggFunc::kSum:
-      case AggFunc::kAvg:
-        ++st.count;
-        st.sum += v.AsDouble();
-        if (v.type() == Type::kInt64) {
-          st.isum += v.AsInt();
-        } else {
-          st.all_int = false;
-        }
-        break;
-      case AggFunc::kMin:
-        if (st.count == 0 || v.Compare(st.min) < 0) st.min = v;
-        ++st.count;
-        break;
-      case AggFunc::kMax:
-        if (st.count == 0 || v.Compare(st.max) > 0) st.max = v;
-        ++st.count;
-        break;
-      default:
-        break;
-    }
+    if (!v.is_null()) (*states)[i].Add(*a, v);
   }
   return Status::OK();
-}
-
-Row FinalizeAgg(const std::vector<Value>& gvals,
-                const std::vector<const Expr*>& aggs,
-                std::vector<AggState>* states) {
-  Row row = gvals;
-  for (size_t i = 0; i < aggs.size(); ++i) {
-    const Expr* a = aggs[i];
-    AggState& st = (*states)[i];
-    switch (a->agg_func) {
-      case AggFunc::kCountStar:
-      case AggFunc::kCount:
-        row.push_back(Value::Int(
-            a->distinct ? static_cast<int64_t>(st.distinct.size())
-                        : static_cast<int64_t>(st.count)));
-        break;
-      case AggFunc::kSum:
-        if (st.count == 0) {
-          row.push_back(Value::Null());
-        } else if (st.all_int) {
-          row.push_back(Value::Int(st.isum));
-        } else {
-          row.push_back(Value::Double(st.sum));
-        }
-        break;
-      case AggFunc::kAvg:
-        row.push_back(st.count == 0
-                          ? Value::Null()
-                          : Value::Double(st.sum /
-                                          static_cast<double>(st.count)));
-        break;
-      case AggFunc::kMin:
-        row.push_back(st.count == 0 ? Value::Null() : st.min);
-        break;
-      case AggFunc::kMax:
-        row.push_back(st.count == 0 ? Value::Null() : st.max);
-        break;
-    }
-  }
-  return row;
 }
 
 /// Sortable aggregation item; defaults are network padding.
@@ -602,24 +404,16 @@ int CompareAggItems(const AggItem& a, const AggItem& b) {
 /// yields exactly the plain engines' map-ordered output. A global
 /// aggregate (no GROUP BY) has the public output width 1 and needs no
 /// sort.
-Result<ORel> AggregateOblivious(Ctx* ctx, ORel input, const SelectStmt& stmt,
-                                std::map<std::string, const Expr*> agg_exprs) {
+Result<ORel> OblEngine::Aggregate(Ctx* ctx, ORel input,
+                                  const OutputPlan& plan) {
   ORel out;
-  std::vector<const Expr*> group_exprs;
-  for (const auto& g : stmt.group_by) group_exprs.push_back(g.get());
-  for (const Expr* g : group_exprs) {
-    out.schema.AddColumn(Column{g->ToString(), InferType(*g, input.schema)});
-  }
-  std::vector<const Expr*> aggs;
-  for (const auto& [name, e] : agg_exprs) {
-    aggs.push_back(e);
-    out.schema.AddColumn(Column{name, InferType(*e, input.schema)});
-  }
+  out.schema = AggregateSchema(plan, input.schema);
+  const std::vector<const Expr*>& aggs = plan.aggs;
 
   const size_t n = input.rows.size();
   ctx->Charge(static_cast<uint64_t>(n) * kOblAggRowCycles);
 
-  if (group_exprs.empty()) {
+  if (plan.group_exprs.empty()) {
     // Global aggregate: one output row always exists, even over zero
     // valid inputs (matching the plain engines' empty-group special
     // case).
@@ -629,7 +423,7 @@ Result<ORel> AggregateOblivious(Ctx* ctx, ORel input, const SelectStmt& stmt,
       RETURN_IF_ERROR(
           AccumulateAgg(ctx, input.schema, input.rows[i], aggs, &states));
     }
-    out.rows.push_back(FinalizeAgg({}, aggs, &states));
+    out.rows.push_back(AggregateRow({}, aggs, states));
     out.valid.push_back(1);
     ctx->RecordAccess(obs::AccessKind::kAggregate, n, 1);
     return out;
@@ -639,8 +433,8 @@ Result<ORel> AggregateOblivious(Ctx* ctx, ORel input, const SelectStmt& stmt,
   for (size_t i = 0; i < n; ++i) {
     EvalScope scope{&input.schema, &input.rows[i], ctx->outer};
     std::vector<Value> gvals;
-    gvals.reserve(group_exprs.size());
-    for (const Expr* g : group_exprs) {
+    gvals.reserve(plan.group_exprs.size());
+    for (const Expr* g : plan.group_exprs) {
       ASSIGN_OR_RETURN(Value v, ctx->eval->Eval(*g, scope));
       gvals.push_back(std::move(v));
     }
@@ -676,7 +470,7 @@ Result<ORel> AggregateOblivious(Ctx* ctx, ORel input, const SelectStmt& stmt,
         item.valid != 0 && (i + 1 == n || items[i + 1].valid == 0 ||
                             items[i + 1].key != item.key);
     if (ends_group) {
-      out.rows[i] = FinalizeAgg(cur_gvals, aggs, &states);
+      out.rows[i] = AggregateRow(cur_gvals, aggs, states);
       out.valid[i] = 1;
     }
   }
@@ -684,7 +478,49 @@ Result<ORel> AggregateOblivious(Ctx* ctx, ORel input, const SelectStmt& stmt,
   return out;
 }
 
-// ---- Projection / DISTINCT / ORDER BY bundles ----
+// ---- Projection ----
+
+/// Projection over every row, dummies included (dummy rows carry
+/// well-typed data — real tuples or nulls — so item expressions evaluate
+/// uniformly). Hidden ORDER BY keys ride along as in the plain engines.
+Status OblEngine::Project(Ctx* ctx, const OutputPlan& plan, ORel input,
+                          OProjection* out) {
+  ctx->Charge(input.rows.size() * kOblProjectRowCycles);
+  ctx->RecordAccess(obs::AccessKind::kProject, input.rows.size());
+  ASSIGN_OR_RETURN(OutputColumns cols, PlanOutputColumns(plan, input.schema));
+  ORel& projected = out->rel;
+  projected.schema = std::move(cols.schema);
+  out->order_from_input = std::move(cols.order_from_input);
+  if (plan.star_only()) {
+    projected.rows = std::move(input.rows);
+    projected.valid = std::move(input.valid);
+    return Status::OK();
+  }
+  for (size_t i = 0; i < input.rows.size(); ++i) {
+    EvalScope scope{&input.schema, &input.rows[i], ctx->outer};
+    Row out_row;
+    out_row.reserve(plan.items.size());
+    for (const SelectItem& item : plan.items) {
+      ASSIGN_OR_RETURN(Value v, ctx->eval->Eval(*item.expr, scope));
+      out_row.push_back(std::move(v));
+    }
+    if (cols.any_hidden) {
+      std::vector<Value> hk;
+      for (size_t k = 0; k < plan.order_by.size(); ++k) {
+        if (!out->order_from_input[k]) continue;
+        ASSIGN_OR_RETURN(Value v,
+                         ctx->eval->Eval(*plan.order_by[k].expr, scope));
+        hk.push_back(std::move(v));
+      }
+      out->hidden_keys.push_back(std::move(hk));
+    }
+    projected.rows.push_back(std::move(out_row));
+    projected.valid.push_back(input.valid[i]);
+  }
+  return Status::OK();
+}
+
+// ---- DISTINCT / ORDER BY / LIMIT ----
 
 /// A projected output row bundled with its hidden ORDER BY keys and
 /// provenance, sortable on the network; defaults are padding.
@@ -698,186 +534,13 @@ struct OutItem {
   uint8_t valid = 0;
 };
 
-// ---- Pipeline ----
-
-Result<ORel> ExecutePaddedPipeline(Database* db, const SelectStmt& stmt,
-                                   const EvalScope* outer,
-                                   sim::CostModel* cost,
-                                   const ExecOptions& opts,
-                                   ExecStats* stats) {
-  Ctx ctx;
-  ctx.db = db;
-  ctx.cost = cost;
-  ctx.opts = opts;
-  ctx.stats = stats;
-  ctx.outer = outer;
-  ctx.runner = std::make_unique<ExecSubqueryRunner>(db, cost, opts);
-  ctx.eval = std::make_unique<Evaluator>(ctx.runner.get());
-  ctx.traced =
-      opts.trace && cost != nullptr && obs::CurrentTracer() != nullptr;
-  ctx.access = opts.trace ? obs::CurrentAccessLog() : nullptr;
-
-  StageSpan select_span(&ctx, "select");
-  ctx.RecordAccess(obs::AccessKind::kQueryBegin, 1);
-
-  std::vector<ConjunctInfo> conjuncts = AnalyzeConjuncts(stmt.where.get());
-
-  // 1. Scan the first relation, then fold in the rest.
-  ASSIGN_OR_RETURN(ORel current,
-                   ScanRelationOblivious(&ctx, stmt.from[0], &conjuncts));
-  for (size_t i = 1; i < stmt.from.size(); ++i) {
-    ASSIGN_OR_RETURN(ORel next,
-                     ScanRelationOblivious(&ctx, stmt.from[i], &conjuncts));
-    ASSIGN_OR_RETURN(current,
-                     JoinRelationsOblivious(&ctx, std::move(current),
-                                            std::move(next), &conjuncts,
-                                            nullptr));
-  }
-  for (const JoinClause& join : stmt.joins) {
-    ASSIGN_OR_RETURN(ORel next,
-                     ScanRelationOblivious(&ctx, join.table, &conjuncts));
-    ASSIGN_OR_RETURN(current,
-                     JoinRelationsOblivious(&ctx, std::move(current),
-                                            std::move(next), &conjuncts,
-                                            join.on.get()));
-  }
-
-  // 2. Residual predicates (incl. subquery predicates) as a mask.
-  {
-    std::vector<const Expr*> residual;
-    for (ConjunctInfo& info : conjuncts) {
-      if (!info.consumed) residual.push_back(info.expr);
-    }
-    if (!residual.empty()) {
-      StageSpan filter_span(&ctx, "filter");
-      filter_span.Tag("rows_in", static_cast<int64_t>(current.rows.size()));
-      filter_span.Tag("predicates", static_cast<int64_t>(residual.size()));
-      RETURN_IF_ERROR(MaskedFilterExprs(&ctx, &current, residual));
-      filter_span.Tag("rows_out", static_cast<int64_t>(current.rows.size()));
-    }
-  }
-
-  // 3. Aggregation.
-  std::map<std::string, const Expr*> agg_exprs;
-  for (const SelectItem& item : stmt.items) {
-    CollectAggregates(*item.expr, &agg_exprs);
-  }
-  if (stmt.having) CollectAggregates(*stmt.having, &agg_exprs);
-  for (const OrderItem& o : stmt.order_by) CollectAggregates(*o.expr, &agg_exprs);
-
-  bool aggregated = !agg_exprs.empty() || !stmt.group_by.empty();
-  std::set<std::string> rewrite_names;
-  std::vector<SelectItem> items;
-  ExprPtr having;
-  std::vector<OrderItem> order_by;
-
-  if (aggregated) {
-    for (const auto& g : stmt.group_by) rewrite_names.insert(g->ToString());
-    for (const auto& [name, e] : agg_exprs) rewrite_names.insert(name);
-    {
-      StageSpan agg_span(&ctx, "aggregate");
-      agg_span.Tag("rows_in", static_cast<int64_t>(current.rows.size()));
-      ASSIGN_OR_RETURN(current, AggregateOblivious(&ctx, std::move(current),
-                                                   stmt, agg_exprs));
-      agg_span.Tag("groups", static_cast<int64_t>(current.rows.size()));
-    }
-    for (const SelectItem& item : stmt.items) {
-      items.push_back(SelectItem{RewriteToColumns(*item.expr, rewrite_names),
-                                 item.alias});
-    }
-    if (stmt.having) having = RewriteToColumns(*stmt.having, rewrite_names);
-    for (const OrderItem& o : stmt.order_by) {
-      order_by.push_back(
-          OrderItem{RewriteToColumns(*o.expr, rewrite_names), o.desc});
-    }
-  } else {
-    for (const SelectItem& item : stmt.items) {
-      items.push_back(SelectItem{item.expr->Clone(), item.alias});
-    }
-    if (stmt.having) {
-      return Status::InvalidArgument("HAVING requires GROUP BY or aggregates");
-    }
-    for (const OrderItem& o : stmt.order_by) {
-      order_by.push_back(OrderItem{o.expr->Clone(), o.desc});
-    }
-  }
-
-  // 4. HAVING as a mask.
-  if (having) {
-    std::vector<const Expr*> having_exprs{having.get()};
-    RETURN_IF_ERROR(MaskedFilterExprs(&ctx, &current, having_exprs));
-  }
-
-  // 5. Projection over every row, dummies included (dummy rows carry
-  //    well-typed data — real tuples or nulls — so item expressions
-  //    evaluate uniformly). Hidden ORDER BY keys ride along as in the
-  //    plain engines.
-  ORel projected;
-  std::vector<std::vector<Value>> hidden_keys;
-  std::vector<bool> order_from_input(order_by.size(), false);
-  bool any_hidden = false;
-  {
-    StageSpan project_span(&ctx, "project");
-    project_span.Tag("rows", static_cast<int64_t>(current.rows.size()));
-    ctx.Charge(current.rows.size() * kOblProjectRowCycles);
-    ctx.RecordAccess(obs::AccessKind::kProject, current.rows.size());
-    bool star_only = items.size() == 1 && items[0].expr->kind == ExprKind::kStar;
-    if (star_only) {
-      projected.schema = current.schema;
-      projected.rows = std::move(current.rows);
-      projected.valid = std::move(current.valid);
-    } else {
-      for (const SelectItem& item : items) {
-        if (item.expr->kind == ExprKind::kStar) {
-          return Status::InvalidArgument(
-              "* must be the only item in a SELECT list");
-        }
-        std::string name = item.alias;
-        if (name.empty()) {
-          if (item.expr->kind == ExprKind::kColumn) {
-            const std::string& cn = item.expr->column_name;
-            size_t dot = cn.rfind('.');
-            name = dot == std::string::npos ? cn : cn.substr(dot + 1);
-          } else {
-            name = item.expr->ToString();
-          }
-        }
-        projected.schema.AddColumn(
-            Column{name, InferType(*item.expr, current.schema)});
-      }
-      for (size_t k = 0; k < order_by.size(); ++k) {
-        std::set<std::string> cols;
-        bool sub = false;
-        CollectColumns(*order_by[k].expr, &cols, &sub);
-        if (!ResolvableBy(cols, projected.schema)) order_from_input[k] = true;
-      }
-      any_hidden = std::any_of(order_from_input.begin(),
-                               order_from_input.end(),
-                               [](bool b) { return b; });
-      for (size_t i = 0; i < current.rows.size(); ++i) {
-        EvalScope scope{&current.schema, &current.rows[i], ctx.outer};
-        Row out_row;
-        out_row.reserve(items.size());
-        for (const SelectItem& item : items) {
-          ASSIGN_OR_RETURN(Value v, ctx.eval->Eval(*item.expr, scope));
-          out_row.push_back(std::move(v));
-        }
-        if (any_hidden) {
-          std::vector<Value> hk;
-          for (size_t k = 0; k < order_by.size(); ++k) {
-            if (!order_from_input[k]) continue;
-            ASSIGN_OR_RETURN(Value v, ctx.eval->Eval(*order_by[k].expr, scope));
-            hk.push_back(std::move(v));
-          }
-          hidden_keys.push_back(std::move(hk));
-        }
-        projected.rows.push_back(std::move(out_row));
-        projected.valid.push_back(current.valid[i]);
-      }
-    }
-  }
-
-  // 6/7. DISTINCT and ORDER BY share one sortable bundle.
+/// DISTINCT and ORDER BY share one sortable bundle; LIMIT keeps the
+/// first `limit` valid rows by mask.
+Result<ORel> OblEngine::Finish(Ctx* ctx, const SelectStmt& stmt,
+                               const OutputPlan& plan, OProjection proj,
+                               StageSpan* select_span) {
+  ORel& projected = proj.rel;
+  const std::vector<OrderItem>& order_by = plan.order_by;
   const size_t n_out = projected.rows.size();
   if (stmt.distinct || !order_by.empty()) {
     std::vector<OutItem> bundle(n_out);
@@ -887,8 +550,8 @@ Result<ORel> ExecutePaddedPipeline(Database* db, const SelectStmt& stmt,
       it.pad = 0;
       it.valid = projected.valid[i];
       it.row = std::move(projected.rows[i]);
-      if (any_hidden && i < hidden_keys.size()) {
-        it.hidden = std::move(hidden_keys[i]);
+      if (i < proj.hidden_keys.size()) {
+        it.hidden = std::move(proj.hidden_keys[i]);
       }
       if (stmt.distinct) {
         Bytes key = KeyOf(it.row);
@@ -906,30 +569,30 @@ Result<ORel> ExecutePaddedPipeline(Database* db, const SelectStmt& stmt,
         if (c != 0) return c;
         return CompareU64(a.seq, b.seq);
       };
-      SortNetwork(&ctx, &bundle, cmp);
+      SortNetwork(ctx, &bundle, cmp);
       for (size_t i = 0; i < bundle.size(); ++i) {
         bool dup = bundle[i].valid != 0 && i > 0 && bundle[i - 1].valid != 0 &&
                    bundle[i - 1].dedupe_key == bundle[i].dedupe_key;
         if (dup) bundle[i].valid = 0;
       }
-      ctx.RecordAccess(obs::AccessKind::kDistinct, bundle.size(),
-                       bundle.size());
+      ctx->RecordAccess(obs::AccessKind::kDistinct, bundle.size(),
+                        bundle.size());
     }
 
     if (!order_by.empty()) {
-      StageSpan sort_span(&ctx, "sort");
+      StageSpan sort_span(ctx, "sort");
       sort_span.Tag("rows", static_cast<int64_t>(bundle.size()));
       for (size_t i = 0; i < bundle.size(); ++i) {
         OutItem& it = bundle[i];
         it.order_keys.clear();
-        EvalScope scope{&projected.schema, &it.row, ctx.outer};
+        EvalScope scope{&projected.schema, &it.row, ctx->outer};
         size_t hidden_pos = 0;
         for (size_t k = 0; k < order_by.size(); ++k) {
-          if (order_from_input[k]) {
+          if (proj.order_from_input[k]) {
             it.order_keys.push_back(it.hidden[hidden_pos++]);
             continue;
           }
-          ASSIGN_OR_RETURN(Value v, ctx.eval->Eval(*order_by[k].expr, scope));
+          ASSIGN_OR_RETURN(Value v, ctx->eval->Eval(*order_by[k].expr, scope));
           it.order_keys.push_back(std::move(v));
         }
       }
@@ -943,25 +606,24 @@ Result<ORel> ExecutePaddedPipeline(Database* db, const SelectStmt& stmt,
         }
         return CompareU64(a.seq, b.seq);
       };
-      SortNetwork(&ctx, &bundle, cmp);
+      SortNetwork(ctx, &bundle, cmp);
     }
 
     for (size_t i = 0; i < bundle.size(); ++i) {
       projected.rows[i] = std::move(bundle[i].row);
       projected.valid[i] = bundle[i].valid;
     }
-    ctx.TrackMemory(ORelBytes(projected));
+    ctx->TrackMemory(TotalRowBytes(projected.rows));
   }
 
-  // 8. LIMIT: keep the first `limit` valid rows by mask.
   if (stmt.limit >= 0) {
     MaskedLimit(&projected.valid, static_cast<uint64_t>(stmt.limit));
   }
 
-  select_span.Tag("rows_out", static_cast<int64_t>(projected.rows.size()));
-  ctx.RecordAccess(obs::AccessKind::kResult, projected.rows.size());
-  ctx.FlushCharges();
-  return projected;
+  select_span->Tag("rows_out", static_cast<int64_t>(projected.rows.size()));
+  ctx->RecordAccess(obs::AccessKind::kResult, projected.rows.size());
+  ctx->FlushCharges();
+  return std::move(projected);
 }
 
 }  // namespace
@@ -972,13 +634,11 @@ Result<QueryResult> ExecuteSelectOblivious(Database* db,
                                            sim::CostModel* cost,
                                            const ExecOptions& opts,
                                            ExecStats* stats) {
-  if (stmt.from.empty()) {
-    // SELECT without FROM touches no storage; the row engine's scalar
-    // path is trivially oblivious.
-    return ExecuteSelectRow(db, stmt, outer, cost, opts, stats);
-  }
-  ASSIGN_OR_RETURN(ORel padded, ExecutePaddedPipeline(db, stmt, outer, cost,
-                                                      opts, stats));
+  Ctx ctx(db, cost, opts, stats, outer);
+  // SELECT without FROM touches no storage, so the shared scalar path is
+  // trivially oblivious.
+  if (stmt.from.empty()) return SelectWithoutFrom(&ctx, stmt);
+  ASSIGN_OR_RETURN(ORel padded, RunSelect<OblEngine>(&ctx, stmt));
   // Declassification: compact the valid rows, in padded order. The
   // result width is the query's (public) answer size; everything before
   // this point had shape-only width.

@@ -99,22 +99,6 @@ class SecurePageStore : public PageStore {
   uint64_t next_page_ = 0;
 };
 
-/// Pure in-memory page store (host-side intermediate tables).
-class MemoryPageStore : public PageStore {
- public:
-  Result<Bytes> ReadPage(uint64_t id, sim::CostModel* cost) override;
-  Status WritePage(uint64_t id, const Bytes& page,
-                   sim::CostModel* cost) override;
-  uint64_t Allocate() override {
-    pages_.emplace_back();
-    return pages_.size() - 1;
-  }
-  uint64_t num_pages() const override { return pages_.size(); }
-
- private:
-  std::vector<Bytes> pages_;
-};
-
 }  // namespace ironsafe::sql
 
 #endif  // IRONSAFE_SQL_PAGE_STORE_H_

@@ -81,4 +81,10 @@ size_t RowBytes(const Row& row) {
   return total;
 }
 
+size_t TotalRowBytes(const std::vector<Row>& rows) {
+  size_t total = 0;
+  for (const Row& r : rows) total += RowBytes(r);
+  return total;
+}
+
 }  // namespace ironsafe::sql

@@ -57,6 +57,9 @@ Result<Row> DeserializeRow(ByteReader* reader);
 /// Approximate in-memory footprint of a row, for memory accounting.
 size_t RowBytes(const Row& row);
 
+/// RowBytes summed over `rows`.
+size_t TotalRowBytes(const std::vector<Row>& rows);
+
 }  // namespace ironsafe::sql
 
 #endif  // IRONSAFE_SQL_SCHEMA_H_

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "sql/database.h"
@@ -9,6 +12,36 @@
 
 namespace ironsafe::sql {
 namespace {
+
+/// One engine configuration that every SqlExecTest SELECT runs on.
+struct EngineLeg {
+  std::string name;
+  ExecOptions opts;
+};
+
+/// The row engine (the differential oracle, so first), the default
+/// vectorized engine and the oblivious mode.
+const std::vector<EngineLeg>& Engines() {
+  static const std::vector<EngineLeg> legs = [] {
+    ExecOptions row, vectorized, oblivious;
+    row.engine = ExecEngine::kRow;
+    oblivious.oblivious = true;
+    return std::vector<EngineLeg>{
+        {"row", row}, {"vectorized", vectorized}, {"oblivious", oblivious}};
+  }();
+  return legs;
+}
+
+std::vector<std::string> SerializedRows(const QueryResult& r, bool sorted) {
+  std::vector<std::string> rows;
+  for (const Row& row : r.rows) {
+    Bytes b;
+    for (const Value& v : row) v.Serialize(&b);
+    rows.emplace_back(b.begin(), b.end());
+  }
+  if (sorted) std::sort(rows.begin(), rows.end());
+  return rows;
+}
 
 class SqlExecTest : public ::testing::Test {
  protected:
@@ -27,14 +60,53 @@ class SqlExecTest : public ::testing::Test {
         "('hr', 300000.0)");
   }
 
+  /// Executes `sql`. A SELECT runs on every engine; each must succeed
+  /// with the row engine's schema and rows, in the same order except on
+  /// the oblivious leg of a statement without ORDER BY (oblivious
+  /// DISTINCT returns rows in dedupe-sort order), where rows compare as
+  /// a multiset. Other statements run once. Returns the row engine's
+  /// result.
   QueryResult Run(const std::string& sql) {
-    auto r = db_->Execute(sql);
-    EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
-    return r.ok() ? *r : QueryResult{};
+    auto stmt = Parse(sql);
+    EXPECT_TRUE(stmt.ok()) << sql << " -> " << stmt.status().ToString();
+    if (!stmt.ok()) return QueryResult{};
+    if (stmt->kind != Statement::Kind::kSelect) {
+      auto r = db_->ExecuteStatement(*stmt);
+      EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+      return r.ok() ? *r : QueryResult{};
+    }
+    std::optional<QueryResult> oracle;
+    for (const EngineLeg& leg : Engines()) {
+      auto r = db_->ExecuteStatement(*stmt, nullptr, leg.opts);
+      EXPECT_TRUE(r.ok()) << leg.name << ": " << sql << " -> "
+                          << r.status().ToString();
+      if (!r.ok()) return QueryResult{};
+      if (!oracle.has_value()) {
+        oracle = std::move(*r);
+        continue;
+      }
+      EXPECT_EQ(r->schema.ToString(), oracle->schema.ToString())
+          << leg.name << ": " << sql;
+      bool multiset = leg.opts.oblivious && stmt->select->order_by.empty();
+      EXPECT_EQ(SerializedRows(*r, multiset),
+                SerializedRows(*oracle, multiset))
+          << leg.name << ": " << sql;
+    }
+    return *oracle;
   }
 
+  /// The status of `sql` on every engine; all must agree.
   Status RunStatus(const std::string& sql) {
-    return db_->Execute(sql).status();
+    std::optional<Status> first;
+    for (const EngineLeg& leg : Engines()) {
+      Status s = db_->Execute(sql, nullptr, leg.opts).status();
+      if (!first.has_value()) {
+        first = s;
+        continue;
+      }
+      EXPECT_EQ(s.ToString(), first->ToString()) << leg.name << ": " << sql;
+    }
+    return *first;
   }
 
   std::unique_ptr<Database> db_;
@@ -44,6 +116,7 @@ TEST_F(SqlExecTest, SelectStar) {
   auto r = Run("SELECT * FROM emp");
   EXPECT_EQ(r.rows.size(), 5u);
   EXPECT_EQ(r.schema.size(), 5u);
+  EXPECT_TRUE(RunStatus("SELECT *, name FROM emp").IsInvalidArgument());
 }
 
 TEST_F(SqlExecTest, WhereFilter) {
@@ -122,6 +195,8 @@ TEST_F(SqlExecTest, Having) {
   auto r = Run("SELECT dept, count(*) AS n FROM emp GROUP BY dept "
                "HAVING count(*) > 1 ORDER BY dept");
   ASSERT_EQ(r.rows.size(), 2u);  // eng, sales
+  EXPECT_TRUE(
+      RunStatus("SELECT name FROM emp HAVING salary > 1").IsInvalidArgument());
 }
 
 TEST_F(SqlExecTest, CountDistinct) {
@@ -281,6 +356,10 @@ TEST_F(SqlExecTest, SelectWithoutFrom) {
   auto r = Run("SELECT 1 + 2 AS three, 'x'");
   ASSERT_EQ(r.rows.size(), 1u);
   EXPECT_EQ(r.rows[0][0].AsInt(), 3);
+  // The same SELECT as a derived table.
+  auto d = Run("SELECT three FROM (SELECT 1 + 2 AS three) t");
+  ASSERT_EQ(d.rows.size(), 1u);
+  EXPECT_EQ(d.rows[0][0].AsInt(), 3);
 }
 
 TEST_F(SqlExecTest, IsNullFiltering) {
