@@ -88,6 +88,7 @@ int Main(int argc, char** argv) {
     BENCH_ASSIGN(const tpch::TpchQuery* query, tpch::GetQuery(number));
     std::printf("%5d", number);
     sim::SimNanos single_ns = 0;
+    double single_ms = 0;
     uint64_t single_digest = 0;
     for (size_t i = 0; i < shard_counts.size(); ++i) {
       WallClock run_wall;
@@ -95,16 +96,17 @@ int Main(int argc, char** argv) {
       double run_ms = run_wall.ms();
       uint64_t digest = RowDigest(out.result);
       std::string key =
-          "q" + std::to_string(number) + "@" +
+          std::string("q").append(std::to_string(number)) + "@" +
           std::to_string(shard_counts[i]);
       baseline.Add(key, out.cost.elapsed_ns(), run_ms);
       if (shard_counts[i] == 1) {
         single_ns = out.cost.elapsed_ns();
+        single_ms = run_ms;
         single_digest = digest;
         std::printf(" %16.3f", out.cost.elapsed_ms());
       } else {
         // The 1-shard run is every multi-shard entry's "before" column.
-        baseline.AddRow(key, single_ns, run_ms);
+        baseline.AddRow(key, single_ns, single_ms);
         std::printf(" %13.3f", static_cast<double>(out.cost.elapsed_ns()) /
                                    static_cast<double>(single_ns));
       }

@@ -53,7 +53,7 @@ int Main(int argc, char** argv) {
     double row_wall_ms = row_wall.ms();
     system->set_engine(sql::ExecEngine::kVectorized);
 
-    std::string key = "q" + std::to_string(query.number);
+    std::string key = std::string("q").append(std::to_string(query.number));
     baseline.Add(key, hons.cost.elapsed_ns(), hons_wall_ms);
     baseline.AddRow(key, hons_row.cost.elapsed_ns(), row_wall_ms);
 

@@ -63,7 +63,7 @@ int Main(int argc, char** argv) {
       return 1;
     }
 
-    std::string key = "q" + std::to_string(query.number);
+    std::string key = std::string("q").append(std::to_string(query.number));
     baseline.Add(key, obl.cost.elapsed_ns(), obl_wall_ms);
     baseline.AddRow(key, row.cost.elapsed_ns(), row_wall_ms);
 

@@ -55,7 +55,7 @@ int Main(int argc, char** argv) {
   system->RegisterClient("producer");
   std::string policy = "read ::= sessionKeyIs(producer)";
   for (int c = 0; c < clients; ++c) {
-    std::string key = "c" + std::to_string(c);
+    std::string key = std::string("c").append(std::to_string(c));
     system->RegisterClient(key);
     policy += " | sessionKeyIs(" + key + ")";
   }
@@ -72,7 +72,8 @@ int Main(int argc, char** argv) {
     for (int i = 0; i < 25; ++i) {
       int id = batch * 25 + i;
       if (i) insert += ", ";
-      insert += "(" + std::to_string(id) + ", 'user" + std::to_string(id) +
+      insert += std::string("(").append(std::to_string(id)) +
+                ", 'user" + std::to_string(id) +
                 "', " + std::to_string(100.0 + id) + ")";
     }
     auto r = system->Execute("producer", insert);
@@ -96,7 +97,7 @@ int Main(int argc, char** argv) {
   std::vector<Client> ends(clients);
   for (int c = 0; c < clients; ++c) {
     Client& client = ends[c];
-    client.key = "c" + std::to_string(c);
+    client.key = std::string("c").append(std::to_string(c));
     auto session = service.OpenSession(client.key);
     if (!session.ok()) Die(session.status());
     client.session = session->id;

@@ -67,7 +67,7 @@ int Main(int argc, char** argv) {
   WallClock wall;
   int idx = 0;
   for (const AntiPattern& pattern : kPatterns) {
-    std::string table = "t" + std::to_string(idx++);
+    std::string table = std::string("t").append(std::to_string(idx++));
     std::string create = "CREATE TABLE " + table +
                          " (id INTEGER, owner VARCHAR, balance DOUBLE)";
     if (Status st = system->CreateProtectedTable("producer", create,
@@ -83,7 +83,8 @@ int Main(int argc, char** argv) {
       for (int i = 0; i < 30; ++i) {
         int id = batch * 30 + i;
         if (i) insert += ", ";
-        insert += "(" + std::to_string(id) + ", 'user" + std::to_string(id) +
+        insert += std::string("(").append(std::to_string(id)) +
+                  ", 'user" + std::to_string(id) +
                   "', " + std::to_string(100.0 + id) + ")";
       }
       auto r = system->Execute("producer", insert, "",

@@ -27,8 +27,11 @@ done
 
 build_and_test() {
   local dir="$1" sanitize="$2"
-  echo "==> configure ${dir} (sanitize='${sanitize}')"
-  cmake -B "$dir" -S . -DIRONSAFE_SANITIZE="$sanitize" >/dev/null
+  # Every leg builds with -Werror: the tree is warning-free under GCC 12
+  # (-Wall -Wextra -Wshadow -Wconversion), and a new warning fails CI.
+  echo "==> configure ${dir} (sanitize='${sanitize}', -Werror)"
+  cmake -B "$dir" -S . -DIRONSAFE_SANITIZE="$sanitize" \
+    -DCMAKE_CXX_FLAGS=-Werror >/dev/null
   echo "==> build ${dir}"
   cmake --build "$dir" -j "$JOBS"
   echo "==> ctest ${dir}"

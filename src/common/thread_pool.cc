@@ -70,16 +70,26 @@ size_t ThreadPool::Drain(Batch* batch) {
   return completed;
 }
 
+ThreadPool::Batch* ThreadPool::ClaimableBatch() const {
+  for (auto it = open_.rbegin(); it != open_.rend(); ++it) {
+    Batch* batch = *it;
+    if (batch->next.load(std::memory_order_relaxed) < batch->tasks->size()) {
+      return batch;
+    }
+  }
+  return nullptr;
+}
+
 void ThreadPool::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
-  uint64_t seen_generation = 0;
   while (true) {
-    work_cv_.wait(lock,
-                  [&] { return stop_ || generation_ != seen_generation; });
+    // Pick the batch inside the predicate: other threads claim tasks
+    // without the lock, so a second look could find nothing left.
+    Batch* batch = nullptr;
+    work_cv_.wait(lock, [&] {
+      return stop_ || (batch = ClaimableBatch()) != nullptr;
+    });
     if (stop_) return;
-    seen_generation = generation_;
-    Batch* batch = batch_;
-    if (batch == nullptr) continue;  // woke after the batch drained
     ++batch->active;  // keeps the batch alive until we step out of it
     lock.unlock();
     size_t completed = Drain(batch);
@@ -94,37 +104,32 @@ void ThreadPool::WorkerLoop() {
 
 void ThreadPool::RunTasks(std::vector<std::function<void()>>& tasks) {
   if (tasks.empty()) return;
-  if (tasks.size() == 1 || tls_slot != -1) {
-    // Single task, or called from inside a task: run inline. The nested
-    // case keeps slot bookkeeping consistent without risking a
-    // self-deadlock on batch_mu_.
+  if (tasks.size() == 1) {
     int outer_slot = tls_slot;
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      tls_slot = static_cast<int>(i);
-      tasks[i]();
-    }
+    tls_slot = 0;
+    tasks[0]();
     tls_slot = outer_slot;
     return;
   }
 
-  std::lock_guard<std::mutex> serial(batch_mu_);
   Batch batch;
   batch.tasks = &tasks;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    batch_ = &batch;
-    ++generation_;
+    open_.push_back(&batch);
   }
   work_cv_.notify_all();
 
   size_t completed = Drain(&batch);
 
+  // Every task is claimed now: withdraw the batch, then wait for the
+  // pool threads still running its tasks.
   std::unique_lock<std::mutex> lock(mu_);
+  open_.erase(std::find(open_.begin(), open_.end(), &batch));
   batch.done += completed;
   done_cv_.wait(lock, [&] {
     return batch.done == tasks.size() && batch.active == 0;
   });
-  batch_ = nullptr;
 }
 
 }  // namespace ironsafe::common

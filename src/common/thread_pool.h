@@ -47,9 +47,12 @@ class ThreadPool {
 
   /// Runs tasks[0..n) to completion; blocks until every task returned.
   /// The calling thread participates. During task i, current_slot() == i
-  /// on the executing thread. One batch runs at a time; a RunTasks call
-  /// issued from inside a task executes its batch inline (serially) to
-  /// avoid self-deadlock.
+  /// on the executing thread. A one-task batch runs inline on the caller.
+  /// Batches may be issued concurrently and from inside a task (a shard
+  /// group's morsel scans): every open batch is offered to idle pool
+  /// threads, the innermost first, while its issuer drains it too. A
+  /// thread waiting for its batch's last tasks takes no other work, so a
+  /// task never runs on a thread whose own task is suspended under it.
   void RunTasks(std::vector<std::function<void()>>& tasks);
 
   /// Index of the task the calling thread is executing, or -1 outside a
@@ -64,14 +67,14 @@ class ThreadPool {
 
   void WorkerLoop();
   static size_t Drain(Batch* batch);
-
-  std::mutex batch_mu_;  // serializes concurrent RunTasks callers
+  /// The innermost open batch with a task left to claim, or null.
+  /// Requires mu_.
+  Batch* ClaimableBatch() const;
 
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  Batch* batch_ = nullptr;     // in-flight batch, guarded by mu_
-  uint64_t generation_ = 0;    // bumped per batch, guarded by mu_
+  std::vector<Batch*> open_;  // batches still being drained, guarded by mu_
   bool stop_ = false;
   std::vector<std::thread> threads_;
 };

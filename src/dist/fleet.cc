@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/thread_pool.h"
 #include "net/wire.h"
+#include "obs/access_trace.h"
 #include "obs/metrics.h"
 #include "obs/retry.h"
 #include "obs/trace.h"
@@ -24,6 +26,92 @@ int RouteRow(int key_index, sql::PartitionKind kind, int64_t min_key,
   }
   int64_t offset = std::max<int64_t>(0, key - min_key);
   return static_cast<int>(std::min<int64_t>(offset / chunk, shard_count - 1));
+}
+
+/// One fragment dispatched to one shard group, and its result batch's
+/// trip to the host as far as the group task takes it.
+struct Shipment {
+  engine::StorageNode* node = nullptr;  ///< null: not placed on the group
+  sim::SimNanos detection_ns = 0;  ///< heartbeat failovers before dispatch
+  uint64_t bytes = 0;              ///< size of the serialized batch
+  Bytes wire;  ///< the serialized batch, kept only for a host-side re-send
+  bool reached_host = false;  ///< attempt 1 sealed a frame for the host
+  Status first;  ///< attempt 1: OK once the batch is opened, else why not
+  sql::QueryResult rows;  ///< the opened batch, once shipped
+};
+
+/// What one group task owns: its timeline, stats and (traced) tracer.
+struct GroupRun {
+  GroupRun(const sim::HardwareProfile& hardware, const obs::Tracer* parent)
+      : cost(hardware),
+        tracer(parent != nullptr ? std::make_unique<obs::Tracer>()
+                                 : nullptr) {}
+  sim::CostModel cost;
+  sql::ExecStats stats;
+  std::unique_ptr<obs::Tracer> tracer;
+  Status status;
+};
+
+/// Seals `wire` on the node end of the node's channel. The
+/// dist.fragment.corrupt site flips one frame byte in transit.
+Result<Bytes> SealForShipping(engine::StorageNode* node, const Bytes& wire,
+                              sim::CostModel* cost) {
+  ASSIGN_OR_RETURN(Bytes frame, node->node_end()->Send(wire, cost));
+  if (auto hit = sim::FaultAt(sim::fault_site::kDistFragmentCorrupt);
+      hit && !frame.empty()) {
+    frame[hit->param % frame.size()] ^= 0x01;
+  }
+  return frame;
+}
+
+/// Group `g`'s task: every fragment placed on the group runs on its node
+/// against the group's child model, then its result batch is serialized,
+/// sealed and opened on the host end (attempt 1 of the ship protocol;
+/// the enclave entry, any re-key and re-send follow on the host side).
+/// Touches only the group's nodes, shipments and GroupRun.
+Status RunGroup(int g, const DistPlan& plan, const sql::ExecOptions& opts,
+                std::vector<std::vector<Shipment>>* ships, GroupRun* run) {
+  sim::CostModel* child = &run->cost;
+  obs::SpanGuard shard_span("shard-" + std::to_string(g), "dist", child);
+  for (size_t f = 0; f < plan.fragments.size(); ++f) {
+    Shipment& ship = (*ships)[f][g];
+    if (ship.node == nullptr) continue;
+    child->ChargeFixed(ship.detection_ns);
+    const FragmentPlacement& place = plan.fragments[f];
+
+    obs::SpanGuard frag_span("fragment", "dist", child);
+    frag_span.Tag("source", place.fragment.source_table);
+    frag_span.Tag("dest", place.fragment.dest_table);
+    frag_span.Tag("node", ship.node->node_id());
+    IRONSAFE_COUNTER_ADD("dist.fragments", 1);
+    ASSIGN_OR_RETURN(std::unique_ptr<sql::SelectStmt> frag_stmt,
+                     sql::ParseSelect(place.fragment.sql));
+    auto frag_result = sql::ExecuteSelect(ship.node->db(), *frag_stmt,
+                                          nullptr, child, opts, &run->stats);
+    RETURN_IF_ERROR(frag_result.status());
+
+    // Ship the slice's batch through the node's sealed channel. A
+    // rejected frame is re-keyed and re-sent on the host side.
+    obs::SpanGuard ship_span("ship", "dist", child);
+    ship.wire = net::SerializeResult(*frag_result);
+    Result<Bytes> frame = SealForShipping(ship.node, ship.wire, child);
+    ship.reached_host = frame.ok();
+    ship.first = frame.status();
+    if (frame.ok()) {
+      auto opened = ship.node->host_end()->Receive(*frame, child);
+      ship.first = opened.status();
+      if (opened.ok()) {
+        ASSIGN_OR_RETURN(ship.rows, net::DeserializeResult(*opened));
+      }
+    }
+    ship.bytes = ship.wire.size();
+    ship_span.Tag("bytes", static_cast<int64_t>(ship.bytes));
+    if (ship.first.ok()) {
+      ship_span.Tag("rows", static_cast<int64_t>(ship.rows.rows.size()));
+      ship.wire = Bytes();
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -206,104 +294,141 @@ Result<FleetOutcome> ShardedCsaFleet::Run(const std::string& sql) {
       sql::ExecEngine::kVectorized, /*oblivious=*/false);
 
   const int groups = options_.shard_count;
-  // The groups execute sequentially here but on disjoint simulated
-  // hardware: each runs against its own zero-based child model and the
-  // merge below advances the fleet clock by the slowest group only
-  // (MergeParallelTimelines). This keeps traces and costs bit-identical
-  // for every real worker count while still modelling the scale-out.
-  std::vector<sim::CostModel> children(groups, sim::CostModel(hardware_));
-  std::vector<int> selected(groups, 0);  // current replica per group
-  std::vector<std::vector<sql::QueryResult>> shipped(plan.fragments.size());
-  for (auto& s : shipped) s.resize(groups);
-  sim::SimNanos phase_start = outcome.cost.elapsed_ns();
+  const sim::SimNanos phase_start = outcome.cost.elapsed_ns();
+  std::vector<std::vector<Shipment>> ships(plan.fragments.size(),
+                                           std::vector<Shipment>(groups));
 
+  // Heartbeat check before dispatch, per (group, fragment) in order: an
+  // injected node outage fails the group over to its next replica
+  // (identical slice, identical rows) for this and every later fragment;
+  // with no replica left the query is unavailable before any group runs.
   for (int g = 0; g < groups; ++g) {
-    sim::CostModel* child = &children[g];
-    obs::SpanGuard shard_span("shard-" + std::to_string(g), "dist", child);
+    int selected = 0;
     for (size_t f = 0; f < plan.fragments.size(); ++f) {
       const FragmentPlacement& place = plan.fragments[f];
       if (!place.partitioned && place.home_group != g) continue;
-
-      // Heartbeat check before dispatch: an injected node outage fails
-      // the group over to its next replica (identical slice, identical
-      // rows); with no replica left the query is unavailable.
+      Shipment& ship = ships[f][g];
       while (sim::FaultAt(sim::fault_site::kDistShardDown)) {
         IRONSAFE_COUNTER_ADD("dist.failovers", 1);
         ++outcome.failovers;
-        child->ChargeFixed(kFailoverDetectionNs);
-        if (++selected[g] >= options_.replicas_per_shard) {
+        ship.detection_ns += kFailoverDetectionNs;
+        if (++selected >= options_.replicas_per_shard) {
           return Status::Unavailable("all replicas of shard group " +
                                      std::to_string(g) + " are down");
         }
       }
-      engine::StorageNode& n = node(g, selected[g]);
-
-      obs::SpanGuard frag_span("fragment", "dist", child);
-      frag_span.Tag("source", place.fragment.source_table);
-      frag_span.Tag("dest", place.fragment.dest_table);
-      frag_span.Tag("node", n.node_id());
-      IRONSAFE_COUNTER_ADD("dist.fragments", 1);
-      ASSIGN_OR_RETURN(std::unique_ptr<sql::SelectStmt> frag_stmt,
-                       sql::ParseSelect(place.fragment.sql));
-      auto frag_result =
-          sql::ExecuteSelect(n.db(), *frag_stmt, nullptr, child,
-                             storage_opts, &outcome.stats);
-      RETURN_IF_ERROR(frag_result.status());
-
-      // Ship the slice's batch through the node's sealed channel. A
-      // corrupted frame is rejected by the host end; the pair is then
-      // re-keyed (monitor-style session-key distribution) and the retry
-      // re-sends — the CsaSystem ship protocol, per shard.
-      obs::SpanGuard ship_span("ship", "dist", child);
-      Bytes wire = net::SerializeResult(*frag_result);
-      outcome.shipped_bytes += wire.size();
-      RetryPolicy ship_policy = obs::ObservedRetryPolicy("dist.ship", child);
-      auto opened =
-          RetryWithBackoff<Bytes>(ship_policy, [&]() -> Result<Bytes> {
-            ASSIGN_OR_RETURN(Bytes frame, n.node_end()->Send(wire, child));
-            if (auto hit = sim::FaultAt(sim::fault_site::kDistFragmentCorrupt);
-                hit && !frame.empty()) {
-              frame[hit->param % frame.size()] ^= 0x01;
-            }
-            // Receiving on the host enters the enclave once per batch;
-            // host-side receive work is serial fleet-wide, so it charges
-            // the fleet clock, not the group's parallel timeline.
-            RETURN_IF_ERROR(host_enclave_->EnterExit(&outcome.cost));
-            auto result = n.host_end()->Receive(frame, child);
-            if (!result.ok()) {
-              IRONSAFE_COUNTER_ADD("dist.channel.rehandshakes", 1);
-              RETURN_IF_ERROR(n.Rekey(&channel_drbg_));
-            }
-            return result;
-          });
-      RETURN_IF_ERROR(opened.status());
-      ASSIGN_OR_RETURN(shipped[f][g], net::DeserializeResult(*opened));
-      host_enclave_->TouchMemory(0x10000 + outcome.shipped_bytes / 4096,
-                                 wire.size(), &outcome.cost);
-      ship_span.Tag("bytes", static_cast<int64_t>(wire.size()));
-      ship_span.Tag("rows",
-                    static_cast<int64_t>(shipped[f][g].rows.size()));
-      ship_span.Close();
-      frag_span.Close();
+      ship.node = &node(g, selected);
     }
-    shard_span.Close();
+  }
+
+  // The groups run concurrently, one pool task per group, as they do on
+  // their disjoint simulated hardware: each task charges its own
+  // zero-based child model, and the merge below advances the fleet clock
+  // by the slowest group only (MergeParallelTimelines). The pool's worker
+  // cap sizes each group's morsel fan-out, not the number of groups in
+  // flight. A group's morsel batches are offered to idle pool threads, so
+  // a fleet with fewer groups than cores still fans its scans out. A
+  // traced run gives each group a private tracer, grafted under the query
+  // span in group order afterwards, so the default trace is the one a
+  // serial loop records.
+  obs::Tracer* tracer = obs::CurrentTracer();
+  std::vector<GroupRun> runs;
+  runs.reserve(groups);
+  for (int g = 0; g < groups; ++g) runs.emplace_back(hardware_, tracer);
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(groups);
+  for (int g = 0; g < groups; ++g) {
+    tasks.push_back([&, g] {
+      obs::ScopedTracer scope(runs[g].tracer.get());
+      // Access events are recorded for single-node oblivious runs only;
+      // a task on the calling thread must not record either.
+      obs::ScopedAccessLog no_access_log(nullptr);
+      runs[g].status = RunGroup(g, plan, storage_opts, &ships, &runs[g]);
+    });
+  }
+  common::ThreadPool::Shared().RunTasks(tasks);
+  for (const GroupRun& run : runs) RETURN_IF_ERROR(run.status);
+
+  // Host-side receive, serial and in group-then-fragment order: the
+  // enclave entry for each frame that reached the host, its EPC
+  // residency at the running shipped-bytes offset, and for a batch whose
+  // first attempt failed the re-key (channel_drbg_ draws) and the
+  // CsaSystem ship protocol's re-send. Host-side receive work is serial
+  // fleet-wide, so it charges the fleet clock, not a group's parallel
+  // timeline; re-sends run on the group's own model and tracer, before
+  // the group's timeline is merged.
+  for (int g = 0; g < groups; ++g) {
+    sim::CostModel* child = &runs[g].cost;
+    for (size_t f = 0; f < plan.fragments.size(); ++f) {
+      Shipment& ship = ships[f][g];
+      if (ship.node == nullptr) continue;
+      outcome.shipped_bytes += ship.bytes;
+      if (ship.reached_host) {
+        // The batch is already opened or rejected: an aborted ecall
+        // only re-enters the enclave.
+        Status entered = host_enclave_->EnterExit(&outcome.cost);
+        if (!entered.ok()) {
+          RetryPolicy policy =
+              obs::ObservedRetryPolicy("tee.ecall", &outcome.cost);
+          policy.retryable = [](const Status& s) { return s.IsUnavailable(); };
+          RETURN_IF_ERROR(ResumeRetryWithBackoff(
+              policy, std::move(entered), [&]() -> Status {
+                return host_enclave_->EnterExit(&outcome.cost);
+              }));
+        }
+        if (!ship.first.ok()) {
+          IRONSAFE_COUNTER_ADD("dist.channel.rehandshakes", 1);
+          RETURN_IF_ERROR(ship.node->Rekey(&channel_drbg_));
+        }
+      }
+      if (!ship.first.ok()) {
+        obs::ScopedTracer scope(runs[g].tracer.get());
+        obs::SpanGuard resend_span("ship-retry", "dist", child);
+        resend_span.Tag("node", ship.node->node_id());
+        RetryPolicy ship_policy = obs::ObservedRetryPolicy("dist.ship", child);
+        Bytes opened;
+        Status resent = ResumeRetryWithBackoff(
+            ship_policy, ship.first, [&]() -> Status {
+              ASSIGN_OR_RETURN(Bytes frame,
+                               SealForShipping(ship.node, ship.wire, child));
+              RETURN_IF_ERROR(host_enclave_->EnterExit(&outcome.cost));
+              auto result = ship.node->host_end()->Receive(frame, child);
+              if (!result.ok()) {
+                IRONSAFE_COUNTER_ADD("dist.channel.rehandshakes", 1);
+                RETURN_IF_ERROR(ship.node->Rekey(&channel_drbg_));
+                return result.status();
+              }
+              opened = std::move(*result);
+              return Status::OK();
+            });
+        RETURN_IF_ERROR(resent);
+        ASSIGN_OR_RETURN(ship.rows, net::DeserializeResult(opened));
+        resend_span.Tag("rows", static_cast<int64_t>(ship.rows.rows.size()));
+      }
+      host_enclave_->TouchMemory(0x10000 + outcome.shipped_bytes / 4096,
+                                 ship.bytes, &outcome.cost);
+    }
+    outcome.stats.MergeFrom(runs[g].stats);
     for (int r = 0; r < options_.replicas_per_shard; ++r) {
       outcome.storage_pages_read += node(g, r).access()->pages_read();
     }
   }
+  if (tracer != nullptr) {
+    for (const GroupRun& run : runs) tracer->Graft(*run.tracer);
+  }
 
   std::vector<const sim::CostModel*> child_ptrs;
-  child_ptrs.reserve(children.size());
-  for (const sim::CostModel& c : children) child_ptrs.push_back(&c);
+  child_ptrs.reserve(runs.size());
+  for (const GroupRun& run : runs) child_ptrs.push_back(&run.cost);
   outcome.cost.MergeParallelTimelines(child_ptrs);
   // Detail lanes (excluded from the default deterministic export) show
-  // the true per-shard overlap; the default export tiles the per-shard
-  // spans sequentially.
-  if (obs::Tracer* tracer = obs::CurrentTracer()) {
+  // the simulated per-shard overlap; the default export tiles the
+  // per-shard spans sequentially.
+  if (tracer != nullptr) {
     for (int g = 0; g < groups; ++g) {
       tracer->AddTimelineSpan("shard-" + std::to_string(g), "dist",
                               phase_start,
-                              phase_start + children[g].elapsed_ns(), g);
+                              phase_start + runs[g].cost.elapsed_ns(), g);
     }
   }
   outcome.storage_phase_ns = outcome.cost.elapsed_ns();
@@ -320,20 +445,20 @@ Result<FleetOutcome> ShardedCsaFleet::Run(const std::string& sql) {
   for (size_t f = 0; f < plan.fragments.size(); ++f) {
     const FragmentPlacement& place = plan.fragments[f];
     int schema_group = place.partitioned ? 0 : place.home_group;
-    const sql::Schema& schema = shipped[f][schema_group].schema;
+    const sql::Schema& schema = ships[f][schema_group].rows.schema;
     RETURN_IF_ERROR(
         host_db->CreateTable(place.fragment.dest_table, schema));
     ASSIGN_OR_RETURN(sql::Table * table,
                      host_db->GetTable(place.fragment.dest_table));
     uint64_t merged_rows = 0;
     if (!place.partitioned) {
-      for (const sql::Row& row : shipped[f][place.home_group].rows) {
+      for (const sql::Row& row : ships[f][place.home_group].rows.rows) {
         RETURN_IF_ERROR(table->Append(row, nullptr));
         ++merged_rows;
       }
     } else if (plan.partial_aggregation || place.merge_key.empty()) {
       for (int g = 0; g < groups; ++g) {
-        for (const sql::Row& row : shipped[f][g].rows) {
+        for (const sql::Row& row : ships[f][g].rows.rows) {
           RETURN_IF_ERROR(table->Append(row, nullptr));
           ++merged_rows;
         }
@@ -350,7 +475,7 @@ Result<FleetOutcome> ShardedCsaFleet::Run(const std::string& sql) {
         int best = -1;
         int64_t best_key = 0;
         for (int g = 0; g < groups; ++g) {
-          const auto& rows = shipped[f][g].rows;
+          const auto& rows = ships[f][g].rows.rows;
           if (pos[g] >= rows.size()) continue;
           int64_t k = rows[pos[g]][key].AsInt();
           if (best < 0 || k < best_key) {
@@ -360,7 +485,7 @@ Result<FleetOutcome> ShardedCsaFleet::Run(const std::string& sql) {
         }
         if (best < 0) break;
         RETURN_IF_ERROR(
-            table->Append(shipped[f][best].rows[pos[best]++], nullptr));
+            table->Append(ships[f][best].rows.rows[pos[best]++], nullptr));
         ++merged_rows;
       }
     }

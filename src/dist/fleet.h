@@ -50,6 +50,12 @@ struct FleetOutcome {
 /// generalized to N shards: per-shard fragments near the data, sealed
 /// result shipping, host-side merge and remainder.
 ///
+/// Shard groups run concurrently, one common::ThreadPool task per group
+/// (Run); the pool's worker cap sizes each group's morsel fan-out, not
+/// the groups in flight. Heartbeats, the host enclave's receive work,
+/// re-keys and the merge stay on the calling thread in group order, and
+/// a traced run grafts each group's private trace back in group order.
+///
 /// Determinism contract: with fixed data and scheme, result rows are
 /// bit-identical across shard counts AND worker counts (the key-ordered
 /// shard merge reconstructs the single-node row streams exactly); cost
@@ -69,8 +75,8 @@ class ShardedCsaFleet {
   /// Executes `sql` across the fleet. A `dist.shard.down` fault fails the
   /// group over to its next live replica (bit-identical rows — replicas
   /// hold identical slices); with every replica of a group down the query
-  /// returns kUnavailable. `dist.fragment.corrupt` re-keys the shipping
-  /// channel and re-sends.
+  /// returns kUnavailable before any group runs. `dist.fragment.corrupt`
+  /// re-keys the shipping channel and re-sends.
   Result<FleetOutcome> Run(const std::string& sql);
 
   int shard_count() const { return options_.shard_count; }

@@ -1,6 +1,8 @@
 #ifndef IRONSAFE_MONITOR_MONITOR_H_
 #define IRONSAFE_MONITOR_MONITOR_H_
 
+#include <algorithm>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <optional>
@@ -171,15 +173,26 @@ class TrustedMonitor {
   crypto::Drbg drbg_;
   AuditLog audit_log_;
 
-  std::set<Bytes> trusted_host_measurements_;
-  std::set<Bytes> trusted_storage_measurements_;
+  /// Byte-string order for the membership sets below, via a memcmp
+  /// bounded by the shorter length: GCC 12 cannot bound the length that
+  /// std::less<Bytes> hands memcmp and warns (-Wstringop-overread).
+  struct BytesLess {
+    bool operator()(const Bytes& a, const Bytes& b) const {
+      size_t n = std::min(a.size(), b.size());
+      int c = n == 0 ? 0 : std::memcmp(a.data(), b.data(), n);
+      return c != 0 ? c < 0 : a.size() < b.size();
+    }
+  };
+
+  std::set<Bytes, BytesLess> trusted_host_measurements_;
+  std::set<Bytes, BytesLess> trusted_storage_measurements_;
   policy::NodeFacts facts_;
   Bytes attested_host_measurement_;
   Bytes attested_storage_measurement_;
 
   std::map<std::string, TablePolicy> table_policies_;
   std::map<std::string, int> clients_;  // key id -> reuse bit
-  std::set<Bytes> active_sessions_;
+  std::set<Bytes, BytesLess> active_sessions_;
   int64_t access_time_ = 0;
   uint64_t policy_epoch_ = 0;
 };

@@ -161,6 +161,33 @@ int64_t Tracer::AddTimelineSpan(std::string_view name,
   return spans_.back().id;
 }
 
+void Tracer::Graft(const Tracer& part) {
+  assert(&part != this && "a tracer cannot graft itself");
+  std::scoped_lock lock(mu_, part.mu_);
+  assert(part.open_.empty() && "Graft of a tracer with open spans");
+  const int64_t base = static_cast<int64_t>(spans_.size());
+  const int64_t parent = open_.empty() ? -1 : open_.back().id;
+  const int depth = static_cast<int>(open_.size());
+  sim::SimNanos& cursor = open_.empty() ? root_cursor_ : open_.back().cursor;
+  const sim::SimNanos offset = cursor;
+  const int64_t wall_shift =
+      std::chrono::duration_cast<std::chrono::microseconds>(part.epoch_ -
+                                                            epoch_)
+          .count();
+  for (const Span& s : part.spans_) {
+    Span span = s;
+    span.id += base;
+    span.parent = s.parent < 0 ? parent : s.parent + base;
+    span.depth += depth;
+    span.sim_start_ns += offset;
+    span.sim_end_ns += offset;
+    span.wall_start_us += wall_shift;
+    span.wall_end_us += wall_shift;
+    spans_.push_back(std::move(span));
+  }
+  cursor = std::max(cursor, offset + part.root_cursor_);
+}
+
 std::vector<Span> Tracer::spans() const {
   std::lock_guard<std::mutex> lock(mu_);
   return spans_;

@@ -63,6 +63,8 @@ struct ExportOptions {
 /// All mutating calls are mutex-guarded, but the open/close *structure*
 /// is intended to be driven from one session thread (workers contribute
 /// only flat detail spans); span ids and ordering are then deterministic.
+/// Concurrent tasks that record whole subtrees each use a private tracer,
+/// which the session thread splices back in a fixed order (Graft).
 ///
 /// Timeline placement: several `CostModel`s can contribute to one trace
 /// (the monitor's control-path model, the query outcome's model, ...),
@@ -111,6 +113,18 @@ class Tracer {
   int64_t AddTimelineSpan(std::string_view name, std::string_view category,
                           sim::SimNanos sim_start_ns, sim::SimNanos sim_end_ns,
                           int lane);
+
+  /// Splices every span of `part` under the innermost open span (or as
+  /// roots), exactly as if they had been opened and closed here in order.
+  /// This is how concurrent tasks trace: each records its subtree into a
+  /// private tracer from an empty timeline, and the coordinating thread
+  /// grafts the parts in a fixed order. Ids and parents are renumbered
+  /// past this tracer's spans, depths shift by the open depth, simulated
+  /// times shift by the parent's cursor, wall times are rebased onto this
+  /// tracer's epoch (so the wall lane shows the real overlap), and the
+  /// parent's cursor advances past the part's last root. `part` must have
+  /// no open spans.
+  void Graft(const Tracer& part);
 
   /// µs since this tracer was constructed (steady clock); safe from any
   /// thread. Use to timestamp detail spans.

@@ -218,9 +218,16 @@ std::string PolicyExpr::ToString() const {
       return out;
     }
     case Kind::kAnd:
-      return "(" + left->ToString() + " & " + right->ToString() + ")";
-    case Kind::kOr:
-      return "(" + left->ToString() + " | " + right->ToString() + ")";
+    case Kind::kOr: {
+      // Built by appending: GCC 12 misreads `"(" + std::string&&` (an
+      // insert at 0) as an overlapping memcpy (-Wrestrict).
+      std::string out = "(";
+      out += left->ToString();
+      out += kind == Kind::kAnd ? " & " : " | ";
+      out += right->ToString();
+      out += ")";
+      return out;
+    }
   }
   return "?";
 }

@@ -177,7 +177,7 @@ std::vector<Result<QueryService::ClientSession>> QueryService::OpenSessionBatch(
   std::lock_guard<std::mutex> lock(mu_);
   if (draining_) {
     for (size_t i = 0; i < specs.size(); ++i) {
-      out.push_back(
+      out.emplace_back(
           Status::Unavailable("service is draining; no new sessions"));
     }
     return out;
@@ -193,19 +193,19 @@ std::vector<Result<QueryService::ClientSession>> QueryService::OpenSessionBatch(
   IRONSAFE_COUNTER_ADD("server.sessions.batch_opens", 1);
   for (const SessionSpec& spec : specs) {
     if (spec.weight == 0) {
-      out.push_back(Status::InvalidArgument(
+      out.emplace_back(Status::InvalidArgument(
           "session weight 0 would starve the tenant; weights must be >= 1"));
       continue;
     }
     if (!system_->monitor()->ClientRegistered(spec.client_key_id)) {
-      out.push_back(
+      out.emplace_back(
           Status::Unauthenticated("unknown client key: " + spec.client_key_id));
       continue;
     }
     Bytes session_key = handshake_drbg_.Generate(32);
     auto channels = net::Handshake::FromSessionKey(session_key);
     if (!channels.ok()) {
-      out.push_back(channels.status());
+      out.emplace_back(channels.status());
       continue;
     }
     uint64_t id = next_session_id_++;

@@ -1,6 +1,7 @@
 #ifndef IRONSAFE_SQL_EXECUTOR_H_
 #define IRONSAFE_SQL_EXECUTOR_H_
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/result.h"
@@ -62,6 +63,16 @@ struct ExecStats {
   uint64_t rows_output = 0;
   uint64_t peak_memory_bytes = 0;
   uint64_t spill_bytes = 0;
+
+  /// Folds in the stats of work that ran separately (another shard
+  /// group): counts add, the memory peak is the larger one. Equal to
+  /// accumulating both runs into one ExecStats, in any order.
+  void MergeFrom(const ExecStats& other) {
+    rows_scanned += other.rows_scanned;
+    rows_output += other.rows_output;
+    peak_memory_bytes = std::max(peak_memory_bytes, other.peak_memory_bytes);
+    spill_bytes += other.spill_bytes;
+  }
 
   bool operator==(const ExecStats&) const = default;
 };

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <functional>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/bytes.h"
@@ -256,6 +259,95 @@ TEST(ThreadPoolTest, NestedRunTasksExecutesInline) {
   }
   common::ThreadPool::Shared().RunTasks(outer);
   EXPECT_EQ(inner_total.load(), 12);
+}
+
+TEST(ThreadPoolTest, NestedRunTasksRunsEveryTaskWithItsSlot) {
+  std::vector<std::atomic<int>> runs(12);
+  std::vector<int> inner_slots(12, -2);
+  std::vector<int> outer_slots_after(4, -2);
+  std::vector<std::function<void()>> outer;
+  for (int i = 0; i < 4; ++i) {
+    outer.push_back([&, i] {
+      std::vector<std::function<void()>> inner;
+      for (int j = 0; j < 3; ++j) {
+        inner.push_back([&, i, j] {
+          ++runs[3 * i + j];
+          inner_slots[3 * i + j] = common::ThreadPool::current_slot();
+        });
+      }
+      common::ThreadPool::Shared().RunTasks(inner);
+      outer_slots_after[i] = common::ThreadPool::current_slot();
+    });
+  }
+  common::ThreadPool::Shared().RunTasks(outer);
+  for (int k = 0; k < 12; ++k) {
+    EXPECT_EQ(runs[k].load(), 1) << "inner task " << k;
+    EXPECT_EQ(inner_slots[k], k % 3) << "inner task " << k;
+  }
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(outer_slots_after[i], i);
+}
+
+TEST(ThreadPoolTest, NestedBatchOfAOneTaskBatchReachesIdlePoolThreads) {
+  // A one-group fleet runs its single group task inline on the caller;
+  // the group's morsel batch, issued from inside that task, must still
+  // fan out to a pool thread. Under a two-worker cap the nested tasks
+  // each wait until both have started, which only a fanned-out batch
+  // can satisfy (bounded, so a regression fails instead of hanging).
+  common::ThreadPool::set_max_workers(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id nesting_thread;
+  int nesting_slot = -2;
+  std::atomic<int> started{0};
+  std::atomic<bool> both_started{true};
+  std::vector<std::function<void()>> outer;
+  outer.push_back([&] {
+    nesting_thread = std::this_thread::get_id();
+    nesting_slot = common::ThreadPool::current_slot();
+    std::vector<std::function<void()>> inner;
+    for (int i = 0; i < 2; ++i) {
+      inner.push_back([&] {
+        ++started;
+        for (int ms = 0; started.load() < 2; ++ms) {
+          if (ms == 10'000) {
+            both_started = false;
+            return;
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      });
+    }
+    common::ThreadPool::Shared().RunTasks(inner);
+  });
+  common::ThreadPool::Shared().RunTasks(outer);
+  common::ThreadPool::set_max_workers(0);
+  EXPECT_EQ(nesting_thread, caller);
+  EXPECT_EQ(nesting_slot, 0);
+  EXPECT_TRUE(both_started.load());
+  EXPECT_EQ(common::ThreadPool::current_slot(), -1);
+}
+
+TEST(ThreadPoolTest, ConcurrentAndNestedBatchesAllComplete) {
+  // Two issuing threads, each with batches of tiny tasks that issue
+  // nested batches: pool threads race the issuers for the last task of
+  // every batch, thousands of times.
+  std::atomic<int> total{0};
+  auto issue = [&total] {
+    for (int round = 0; round < 300; ++round) {
+      std::vector<std::function<void()>> outer;
+      for (int i = 0; i < 3; ++i) {
+        outer.push_back([&total] {
+          std::vector<std::function<void()>> inner(
+              2, [&total] { total.fetch_add(1); });
+          common::ThreadPool::Shared().RunTasks(inner);
+        });
+      }
+      common::ThreadPool::Shared().RunTasks(outer);
+    }
+  };
+  std::thread other(issue);
+  issue();
+  other.join();
+  EXPECT_EQ(total.load(), 2 * 300 * 3 * 2);
 }
 
 TEST(ThreadPoolTest, EffectiveWorkersHonorsRequestAndCap) {

@@ -1,7 +1,7 @@
 // Acceptance suite for the sharded multi-node CSA fleet (src/dist,
 // docs/SHARDING.md). The tentpole invariants:
 //   - result rows are bit-identical across shard counts (1/2/4/8) AND
-//     real worker counts (1/4/16) for every evaluated TPC-H query;
+//     real worker counts (1/2/4/16) for every evaluated TPC-H query;
 //   - cost totals, stats and default traces are bit-identical across
 //     worker counts and reruns for a fixed shard count;
 //   - killing any storage node mid-query fails over to its replica and
@@ -141,7 +141,8 @@ INSTANTIATE_TEST_SUITE_P(AllEvaluatedQueries, ShardInvariance,
                          ::testing::Values(2, 3, 4, 5, 6, 7, 8, 9, 10, 12,
                                            13, 14, 16, 18, 19, 21),
                          [](const auto& param_info) {
-                           return "Q" + std::to_string(param_info.param);
+                           return std::string("Q").append(
+                               std::to_string(param_info.param));
                          });
 
 // The single-shard fleet must agree with the single-node testbed: the
@@ -172,51 +173,75 @@ TEST_F(FleetTest, SingleShardFleetMatchesCsaSystem) {
 // ---------------- worker-count invariance ----------------
 
 class WorkerInvariance : public FleetTest,
-                         public ::testing::WithParamInterface<int> {};
+                         public ::testing::WithParamInterface<int> {
+ public:
+  /// Runs `query` at every shard count and real worker count: rows,
+  /// stats, cost, shipped bytes, pages read and the default Chrome trace
+  /// must not depend on the worker count (shard groups run concurrently
+  /// at every count).
+  static void ExpectWorkerInvariant(int query) {
+    auto q = tpch::GetQuery(query);
+    ASSERT_TRUE(q.ok());
+    for (int shards : {1, 2, 4}) {
+      std::optional<FleetOutcome> base;
+      std::string base_trace;
+      for (int workers : {1, 2, 4, 16}) {
+        common::ThreadPool::set_max_workers(workers);
+        obs::Tracer tracer;
+        std::string trace;
+        {
+          obs::ScopedTracer scope(&tracer);
+          auto out = fleet(shards)->Run((*q)->sql);
+          if (!out.ok()) common::ThreadPool::set_max_workers(0);
+          ASSERT_TRUE(out.ok()) << out.status().ToString();
+          std::ostringstream os;
+          tracer.ExportChromeTrace(os, obs::ExportOptions{});
+          trace = os.str();
+          if (!base.has_value()) {
+            base = std::move(*out);
+            base_trace = trace;
+            continue;
+          }
+          EXPECT_EQ(ExactRows(out->result), ExactRows(base->result))
+              << "shards=" << shards << " workers=" << workers;
+          EXPECT_EQ(out->stats, base->stats) << "workers=" << workers;
+          EXPECT_EQ(out->cost, base->cost)
+              << "shards=" << shards << " workers=" << workers;
+          EXPECT_EQ(out->shipped_bytes, base->shipped_bytes);
+          EXPECT_EQ(out->storage_pages_read, base->storage_pages_read);
+          EXPECT_EQ(out->partial_aggregation, base->partial_aggregation);
+        }
+        EXPECT_EQ(trace, base_trace)
+            << "default trace diverged: Q" << query << " shards=" << shards
+            << " workers=" << workers;
+      }
+      common::ThreadPool::set_max_workers(0);
+    }
+  }
+};
 
 TEST_P(WorkerInvariance, WorkerCountChangesNothingObservable) {
-  auto q = tpch::GetQuery(GetParam());
-  ASSERT_TRUE(q.ok());
-  for (int shards : {1, 4}) {
-    std::optional<FleetOutcome> base;
-    std::string base_trace;
-    for (int workers : {1, 4, 16}) {
-      common::ThreadPool::set_max_workers(workers);
-      obs::Tracer tracer;
-      std::string trace;
-      {
-        obs::ScopedTracer scope(&tracer);
-        auto out = fleet(shards)->Run((*q)->sql);
-        if (!out.ok()) common::ThreadPool::set_max_workers(0);
-        ASSERT_TRUE(out.ok()) << out.status().ToString();
-        std::ostringstream os;
-        tracer.ExportChromeTrace(os, obs::ExportOptions{});
-        trace = os.str();
-        if (!base.has_value()) {
-          base = std::move(*out);
-          base_trace = trace;
-          continue;
-        }
-        EXPECT_EQ(ExactRows(out->result), ExactRows(base->result))
-            << "shards=" << shards << " workers=" << workers;
-        EXPECT_EQ(out->stats, base->stats) << "workers=" << workers;
-        EXPECT_EQ(out->cost, base->cost)
-            << "shards=" << shards << " workers=" << workers;
-        EXPECT_EQ(out->shipped_bytes, base->shipped_bytes);
-        EXPECT_EQ(out->storage_pages_read, base->storage_pages_read);
-      }
-      EXPECT_EQ(trace, base_trace)
-          << "default trace diverged: shards=" << shards
-          << " workers=" << workers;
-    }
-    common::ThreadPool::set_max_workers(0);
-  }
+  ExpectWorkerInvariant(GetParam());
 }
 
-INSTANTIATE_TEST_SUITE_P(Queries, WorkerInvariance, ::testing::Values(3, 6),
+// The fleet-scs query set (fig12, the repository benchmark).
+INSTANTIATE_TEST_SUITE_P(Queries, WorkerInvariance,
+                         ::testing::Values(3, 6, 12, 13, 14),
                          [](const auto& param_info) {
-                           return "Q" + std::to_string(param_info.param);
+                           return std::string("Q").append(
+                               std::to_string(param_info.param));
                          });
+
+// The opt-in partial-aggregation plan concatenates per-group partials in
+// group order; concurrency must not reorder them.
+TEST_F(FleetTest, PartialAggregationIsWorkerCountInvariant) {
+  for (int shards : {1, 2, 4}) fleet(shards)->set_partial_aggregation(true);
+  auto q = tpch::GetQuery(6);
+  ASSERT_TRUE(q.ok());
+  EXPECT_TRUE(MustRun(4, (*q)->sql).partial_aggregation);
+  WorkerInvariance::ExpectWorkerInvariant(6);
+  for (int shards : {1, 2, 4}) fleet(shards)->set_partial_aggregation(false);
+}
 
 TEST_F(FleetTest, RerunsAreBitIdentical) {
   auto q = tpch::GetQuery(12);

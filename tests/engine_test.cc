@@ -319,7 +319,8 @@ TEST_P(ConfigEquivalence, AllConfigsAgree) {
 INSTANTIATE_TEST_SUITE_P(SelectedQueries, ConfigEquivalence,
                          ::testing::Values(3, 5, 6, 10, 12, 14, 19),
                          [](const auto& param_info) {
-                           return "Q" + std::to_string(param_info.param);
+                           return std::string("Q").append(
+                               std::to_string(param_info.param));
                          });
 
 // ---------------- morsel-parallel determinism ----------------
@@ -398,7 +399,8 @@ TEST_P(ParallelDeterminism, RealWorkerCountInvariantUnderHos) {
 INSTANTIATE_TEST_SUITE_P(Queries, ParallelDeterminism,
                          ::testing::Values(3, 6),
                          [](const auto& param_info) {
-                           return "Q" + std::to_string(param_info.param);
+                           return std::string("Q").append(
+                               std::to_string(param_info.param));
                          });
 
 TEST_F(CsaSystemTest, StorageCoresKnobKeepsRowsAndStatsIdentical) {

@@ -756,10 +756,99 @@ TEST_F(DistFaultTest, CorruptFragmentFrameIsRejectedThenRekeyedAndResent) {
   EXPECT_EQ(ExactRows(faulted.result), ExactRows(clean.result));
 }
 
+/// Occurrences of `fault` in one fault-free run of TPC-H `query`.
+uint64_t OccurrencesPerRun(dist::ShardedCsaFleet* fleet, int query,
+                           std::string_view fault) {
+  auto q = tpch::GetQuery(query);
+  EXPECT_TRUE(q.ok());
+  ScopedFaultInjection guard;
+  EXPECT_TRUE(fleet->Run((*q)->sql).ok());
+  return FaultRegistry::Global().occurrences(fault);
+}
+
+/// Runs TPC-H `query` with `fault` armed to fire once, on its `nth`
+/// occurrence, at 1 and at 4 workers. The fault must fire, the query
+/// must succeed, and rows, cost, stats and the default trace must match
+/// between the two worker counts. Returns the 1-worker outcome.
+std::optional<dist::FleetOutcome> ExpectArmedRunWorkerInvariant(
+    dist::ShardedCsaFleet* fleet, int query, std::string_view fault,
+    uint64_t nth) {
+  auto q = tpch::GetQuery(query);
+  EXPECT_TRUE(q.ok());
+  std::optional<dist::FleetOutcome> base;
+  std::string base_trace;
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE(std::string(fault) + " nth=" + std::to_string(nth) +
+                 " workers=" + std::to_string(workers));
+    common::ThreadPool::set_max_workers(workers);
+    ScopedFaultInjection guard;
+    FaultRegistry::Global().ArmNth(fault, nth, /*count=*/1, /*param=*/nth);
+    obs::Tracer tracer;
+    std::optional<dist::FleetOutcome> out;
+    {
+      obs::ScopedTracer scope(&tracer);
+      auto run = fleet->Run((*q)->sql);
+      EXPECT_TRUE(run.ok()) << run.status().ToString();
+      if (run.ok()) out = std::move(*run);
+    }
+    common::ThreadPool::set_max_workers(0);
+    EXPECT_EQ(FaultRegistry::Global().fired(fault), 1u);
+    if (!out.has_value()) return std::nullopt;
+    std::ostringstream trace;
+    tracer.ExportChromeTrace(trace, obs::ExportOptions{});
+    if (!base.has_value()) {
+      base = std::move(out);
+      base_trace = trace.str();
+      continue;
+    }
+    EXPECT_EQ(ExactRows(out->result), ExactRows(base->result));
+    EXPECT_EQ(out->failovers, base->failovers);
+    EXPECT_EQ(out->cost, base->cost);
+    EXPECT_EQ(out->stats, base->stats);
+    EXPECT_EQ(trace.str(), base_trace);
+  }
+  return base;
+}
+
+TEST_F(DistFaultTest, EveryHeartbeatFailoverIsWorkerCountInvariant) {
+  // Heartbeats run on the calling thread in group-then-fragment order
+  // before the groups fan out, so the n-th heartbeat names the same
+  // (group, fragment) at every worker count.
+  uint64_t heartbeats = OccurrencesPerRun(fleet_, 3, site::kDistShardDown);
+  ASSERT_GT(heartbeats, 0u);
+  for (uint64_t nth = 1; nth <= heartbeats; ++nth) {
+    auto out = ExpectArmedRunWorkerInvariant(fleet_, 3, site::kDistShardDown,
+                                             nth);
+    ASSERT_TRUE(out.has_value()) << "nth=" << nth;
+    EXPECT_EQ(out->failovers, 1) << "nth=" << nth;
+  }
+}
+
+TEST_F(DistFaultTest, EveryHostEnclaveFaultIsWorkerCountInvariant) {
+  // The host enclave's EnterExit and TouchMemory run on the calling
+  // thread after the groups fan out, in group-then-fragment order. An
+  // aborted ecall re-enters the enclave over the batch the group task
+  // already opened (nothing is re-sent); an EPC spike only raises costs.
+  // Every n must give the fault-free rows at 1 and at 4 workers.
+  dist::FleetOutcome clean = MustRun(3);
+  for (std::string_view fault : {site::kSgxEcallFail, site::kSgxEpcSpike}) {
+    uint64_t occurrences = OccurrencesPerRun(fleet_, 3, fault);
+    ASSERT_GT(occurrences, 0u) << fault;
+    for (uint64_t nth = 1; nth <= occurrences; ++nth) {
+      auto out = ExpectArmedRunWorkerInvariant(fleet_, 3, fault, nth);
+      ASSERT_TRUE(out.has_value()) << fault << " nth=" << nth;
+      EXPECT_EQ(ExactRows(out->result), ExactRows(clean.result))
+          << fault << " nth=" << nth;
+      EXPECT_GT(out->cost.elapsed_ns(), clean.cost.elapsed_ns())
+          << fault << " nth=" << nth;
+    }
+  }
+}
+
 TEST_F(DistFaultTest, RandomDistFaultSweepRecoversOrFailsSafe) {
   // The CI seed matrix (IRONSAFE_FAULT_SEED=1..10, scripts/check.sh)
   // extended to sharded execution: probabilistic shard-down, fragment
-  // corruption and transport faults all at once. The invariant is
+  // corruption, transport faults and aborted host ecalls all at once. The invariant is
   // fail-safe, not fail-never: either the fleet recovers to the
   // fault-free rows, or enough heartbeats fired to exhaust a replica
   // group and the query reports kUnavailable — never a wrong answer.
@@ -775,6 +864,7 @@ TEST_F(DistFaultTest, RandomDistFaultSweepRecoversOrFailsSafe) {
   reg.ArmProbability(site::kDistShardDown, 0.05, seed);
   reg.ArmProbability(site::kDistFragmentCorrupt, 0.05, seed + 1);
   reg.ArmProbability(site::kNetSendDrop, 0.05, seed + 2);
+  reg.ArmProbability(site::kSgxEcallFail, 0.05, seed + 3);
   auto q = tpch::GetQuery(3);
   ASSERT_TRUE(q.ok());
   auto faulted = fleet_->Run((*q)->sql);
@@ -818,7 +908,7 @@ class ServerFaultTest : public ::testing::Test {
     system_->RegisterClient("producer");
     std::string policy = "read ::= sessionKeyIs(producer)";
     for (int c = 0; c < kConsumers; ++c) {
-      std::string key = "c" + std::to_string(c);
+      std::string key = std::string("c").append(std::to_string(c));
       system_->RegisterClient(key);
       policy += " | sessionKeyIs(" + key + ")";
     }
@@ -833,7 +923,8 @@ class ServerFaultTest : public ::testing::Test {
     std::string insert = "INSERT INTO accounts (id, owner, balance) VALUES ";
     for (int i = 0; i < 30; ++i) {
       if (i) insert += ", ";
-      insert += "(" + std::to_string(i) + ", 'user" + std::to_string(i) +
+      insert += std::string("(").append(std::to_string(i)) +
+                ", 'user" + std::to_string(i) +
                 "', " + std::to_string(100.0 + i) + ")";
     }
     ASSERT_TRUE(system_->Execute("producer", insert).ok());

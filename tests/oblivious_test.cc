@@ -506,7 +506,7 @@ TEST_F(ObliviousTpch, PlainTracesDivergeOnScrambledMeasures) {
     Capture a = RunTraced(dbs_[0], query.sql, Plain());
     Capture b = RunTraced(dbs_[1], query.sql, Plain());
     if (a.access != b.access) {
-      diverged += "q" + std::to_string(query.number) + " ";
+      diverged += std::string("q").append(std::to_string(query.number)) + " ";
       must_diverge.erase(query.number);
     }
   }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -140,6 +141,125 @@ TEST(TracerTest, DetailSpanDoesNotAdvanceTheCursor) {
   // The detail span starts where the next real child starts: it did not
   // move the parent's layout cursor.
   EXPECT_EQ(spans[2].sim_start_ns, spans[1].sim_start_ns);
+}
+
+// One shard group's subtree, as a fleet group task records it: a group
+// span with a detail slice, two charged children and a tag, on its own
+// zero-based model.
+void RecordGroup(int g, sim::CostModel* cost) {
+  SpanGuard group("shard-" + std::to_string(g), "test", cost);
+  group.Tag("group", static_cast<int64_t>(g));
+  if (Tracer* tracer = CurrentTracer()) {
+    tracer->AddDetailSpan("morsel", "test", 700, /*lane=*/g, 0, 0);
+  }
+  cost->ChargeFixed(100 * static_cast<sim::SimNanos>(g + 1));
+  {
+    SpanGuard fragment("fragment", "test", cost);
+    cost->ChargeFixed(1000 + static_cast<sim::SimNanos>(g));
+    SpanGuard ship("ship", "test", cost);
+    cost->ChargeFixed(50);
+  }
+}
+
+TEST(TracerTest, GraftEqualsTheSameSpansOpenedSerially) {
+  constexpr int kGroups = 3;
+  sim::CostModel serial_cost;
+  Tracer serial;
+  {
+    ScopedTracer scope(&serial);
+    SpanGuard query("query", "test", &serial_cost);
+    {
+      SpanGuard plan("plan", "test", &serial_cost);
+      serial_cost.ChargeFixed(300);
+    }
+    for (int g = 0; g < kGroups; ++g) {
+      sim::CostModel child;
+      RecordGroup(g, &child);
+    }
+    SpanGuard merge("merge", "test", &serial_cost);
+    serial_cost.ChargeFixed(40);
+  }
+
+  sim::CostModel grafted_cost;
+  Tracer grafted;
+  int64_t before_parts_us = 0;
+  {
+    ScopedTracer scope(&grafted);
+    SpanGuard query("query", "test", &grafted_cost);
+    {
+      SpanGuard plan("plan", "test", &grafted_cost);
+      grafted_cost.ChargeFixed(300);
+    }
+    before_parts_us = grafted.WallNowUs();
+    // Each part records on its own thread, in reverse order, against a
+    // fresh tracer; the graft order alone fixes the result.
+    std::vector<std::unique_ptr<Tracer>> parts;
+    for (int g = 0; g < kGroups; ++g) {
+      parts.push_back(std::make_unique<Tracer>());
+    }
+    for (int g = kGroups - 1; g >= 0; --g) {
+      std::thread([&parts, g] {
+        ScopedTracer part_scope(parts[g].get());
+        sim::CostModel child;
+        RecordGroup(g, &child);
+      }).join();
+    }
+    for (const auto& part : parts) grafted.Graft(*part);
+    SpanGuard merge("merge", "test", &grafted_cost);
+    grafted_cost.ChargeFixed(40);
+  }
+
+  std::vector<Span> want = serial.spans();
+  std::vector<Span> got = grafted.spans();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE("span " + std::to_string(i) + " " + want[i].name);
+    EXPECT_EQ(got[i].name, want[i].name);
+    EXPECT_EQ(got[i].id, want[i].id);
+    EXPECT_EQ(got[i].parent, want[i].parent);
+    EXPECT_EQ(got[i].depth, want[i].depth);
+    EXPECT_EQ(got[i].sim_start_ns, want[i].sim_start_ns);
+    EXPECT_EQ(got[i].sim_end_ns, want[i].sim_end_ns);
+    EXPECT_EQ(got[i].detail, want[i].detail);
+    EXPECT_EQ(got[i].lane, want[i].lane);
+    EXPECT_EQ(got[i].tags, want[i].tags);
+    // Wall times are on the receiving tracer's epoch: every span after
+    // `plan` started after `before_parts_us`.
+    if (i >= 2 && !want[i].detail) {
+      EXPECT_GE(got[i].wall_start_us, before_parts_us);
+      EXPECT_GE(got[i].wall_end_us, got[i].wall_start_us);
+    }
+  }
+  std::ostringstream a, b;
+  serial.ExportChromeTrace(a, ExportOptions{});
+  grafted.ExportChromeTrace(b, ExportOptions{});
+  EXPECT_EQ(b.str(), a.str());
+}
+
+TEST(TracerTest, GraftWithoutAnOpenSpanAddsRoots) {
+  Tracer part;
+  {
+    ScopedTracer scope(&part);
+    sim::CostModel cost;
+    SpanGuard root("part-root", "test", &cost);
+    cost.ChargeFixed(10);
+  }
+  Tracer tracer;
+  sim::CostModel cost;
+  {
+    ScopedTracer scope(&tracer);
+    SpanGuard first("first", "test", &cost);
+    cost.ChargeFixed(25);
+  }
+  tracer.Graft(part);
+  tracer.Graft(part);
+  std::vector<Span> spans = tracer.spans();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[1].parent, -1);
+  EXPECT_EQ(spans[1].depth, 0);
+  EXPECT_EQ(spans[1].sim_start_ns, 25u);
+  EXPECT_EQ(spans[2].sim_start_ns, 35u);
+  EXPECT_EQ(spans[2].sim_end_ns, 45u);
 }
 
 TEST(TracerTest, TimelineSpanSitsAtExplicitCoordinates) {

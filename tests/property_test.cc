@@ -280,7 +280,7 @@ TEST(LikeProperty, PercentIsReflexivePrefixSuffix) {
     EXPECT_TRUE(sql::LikeMatch(s, "%" + s));
     size_t cut = rng.Uniform(s.size() + 1);
     EXPECT_TRUE(sql::LikeMatch(s, s.substr(0, cut) + "%"));
-    EXPECT_TRUE(sql::LikeMatch(s, "%" + s.substr(cut)));
+    EXPECT_TRUE(sql::LikeMatch(s, std::string("%").append(s.substr(cut))));
   }
 }
 
@@ -314,8 +314,9 @@ TEST(WireProperty, RandomMutationsNeverCrashAndUsuallyFail) {
   result.schema.AddColumn(sql::Column{"a", sql::Type::kInt64});
   result.schema.AddColumn(sql::Column{"s", sql::Type::kString});
   for (int i = 0; i < 20; ++i) {
-    result.rows.push_back(
-        sql::Row{sql::Value::Int(i), sql::Value::String("v" + std::to_string(i))});
+    result.rows.push_back(sql::Row{
+        sql::Value::Int(i),
+        sql::Value::String(std::string("v").append(std::to_string(i)))});
   }
   Bytes wire = net::SerializeResult(result);
   for (int trial = 0; trial < 300; ++trial) {

@@ -323,7 +323,7 @@ class QueryServiceTest : public ::testing::Test {
     (*system)->RegisterClient("producer");
     std::string policy = "read ::= sessionKeyIs(producer)";
     for (int c = 0; c < kConsumers; ++c) {
-      std::string key = "c" + std::to_string(c);
+      std::string key = std::string("c").append(std::to_string(c));
       (*system)->RegisterClient(key);
       policy += " | sessionKeyIs(" + key + ")";
     }
@@ -340,7 +340,8 @@ class QueryServiceTest : public ::testing::Test {
     std::string insert = "INSERT INTO accounts (id, owner, balance) VALUES ";
     for (int i = 0; i < 40; ++i) {
       if (i) insert += ", ";
-      insert += "(" + std::to_string(i) + ", 'user" + std::to_string(i) +
+      insert += std::string("(").append(std::to_string(i)) +
+                ", 'user" + std::to_string(i) +
                 "', " + std::to_string(100.0 + i) + ")";
     }
     if (!(*system)->Execute("producer", insert).ok()) return nullptr;
@@ -702,7 +703,8 @@ TEST_F(QueryServiceTest, OpenSessionBatchMintsRealSessionsWithPerSpecFailures) {
   int64_t batch_before = CounterValue("server.sessions.batch_opens");
   std::vector<QueryService::SessionSpec> specs;
   for (int c = 0; c < 4; ++c) {
-    specs.push_back({"c" + std::to_string(c), /*weight=*/c == 0 ? 8u : 1u});
+    specs.push_back({std::string("c").append(std::to_string(c)),
+                     /*weight=*/c == 0 ? 8u : 1u});
   }
   specs.push_back({"never-registered", 1});  // unknown key
   specs.push_back({"c5", 0});                // starving weight
@@ -920,7 +922,7 @@ TEST_F(QueryServiceTest, EightClientWorkloadIsWorkerCountInvariant) {
     obs::ScopedTracer scope(&tracer);
     std::vector<End> ends;
     for (int c = 0; c < kConsumers; ++c) {
-      ends.push_back(Open(service, "c" + std::to_string(c)));
+      ends.push_back(Open(service, std::string("c").append(std::to_string(c))));
     }
     RetryPolicy retry;
     retry.max_attempts = 4;
@@ -1005,7 +1007,7 @@ TEST_F(QueryServiceTest, ConcurrentSubmittersNeverLoseACompletion) {
   QueryService service(system_.get(), options);
   std::vector<End> ends;
   for (int t = 0; t < kThreads; ++t) {
-    ends.push_back(Open(service, "c" + std::to_string(t)));
+    ends.push_back(Open(service, std::string("c").append(std::to_string(t))));
   }
 
   std::atomic<uint64_t> admitted{0};

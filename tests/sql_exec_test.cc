@@ -467,7 +467,8 @@ TEST(ParallelExecTest, WorkerCountNeverChangesResultsStatsOrCost) {
   std::vector<Row> rows;
   for (int i = 0; i < 20000; ++i) {
     rows.push_back(
-        Row{Value::Int(i), Value::String("g" + std::to_string(i % 37))});
+        Row{Value::Int(i),
+            Value::String(std::string("g").append(std::to_string(i % 37)))});
   }
   ASSERT_TRUE(db->BulkLoad("t", rows).ok());
 

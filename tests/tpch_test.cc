@@ -105,7 +105,8 @@ TEST_P(TpchExtendedRuns, ExecutesSuccessfully) {
 INSTANTIATE_TEST_SUITE_P(Extended, TpchExtendedRuns,
                          ::testing::Values(1, 11, 15, 17, 20, 22),
                          [](const auto& param_info) {
-                           return "Q" + std::to_string(param_info.param);
+                           return std::string("Q").append(
+                               std::to_string(param_info.param));
                          });
 
 TEST_F(TpchTest, Q1AggregatesAreInternallyConsistent) {
@@ -141,7 +142,8 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, TpchQueryRuns,
                          ::testing::Values(2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13,
                                            14, 16, 18, 19, 21),
                          [](const auto& param_info) {
-                           return "Q" + std::to_string(param_info.param);
+                           return std::string("Q").append(
+                               std::to_string(param_info.param));
                          });
 
 // Spot-check selected query semantics.
